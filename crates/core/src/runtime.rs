@@ -2275,17 +2275,29 @@ mod tests {
     #[test]
     fn evacuating_an_untouched_platform_finds_no_victims() {
         let platform = defrag_platform();
+        let arm_a = platform.tile_by_name("ARM-a").unwrap();
+        let arm_b = platform.tile_by_name("ARM-b").unwrap();
         let sink = platform.tile_by_name("Sink").unwrap();
         let mut m = RuntimeManager::new(platform, SpatialMapper::default());
         let h = m.start(light()).unwrap();
         let record = m.get(h).unwrap().clone();
+        let stage = record.spec.graph.process_by_name("Stage").unwrap();
+        let placed = record.outcome.mapping.assignment(stage).unwrap().tile;
+        let idle_arm = if placed == arm_a { arm_b } else { arm_a };
         let evacuation = m
-            .evacuate(FailureEvent::Tile(sink), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Tile(idle_arm), &EvacuationPolicy::default())
             .unwrap();
         assert!(evacuation.victims.is_empty());
         assert_eq!(m.get(h).unwrap(), &record);
-        // While the Sink is failed, admissions cannot use it.
-        assert!(m.is_failed(FailureEvent::Tile(sink)));
+        // While the ARM is failed, admissions cannot use it.
+        assert!(m.is_failed(FailureEvent::Tile(idle_arm)));
+        m.repair(FailureEvent::Tile(idle_arm));
+        // The output route ends at the Sink, whose network-interface claim
+        // makes the app a victim even though no process runs there.
+        let evacuation = m
+            .evacuate(FailureEvent::Tile(sink), &EvacuationPolicy::default())
+            .unwrap();
+        assert_eq!(evacuation.victims, vec![h]);
         m.repair(FailureEvent::Tile(sink));
         m.stop_all().unwrap();
     }

@@ -23,8 +23,7 @@ use crate::feedback::Feedback;
 use crate::mapping::{Mapping, RouteBinding};
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId};
 use rtsm_dataflow::{
-    check_source_period, iteration_latency, size_buffers, ActorId, BufferSizingConfig, CsdfGraph,
-    PhaseVec,
+    iteration_latency, size_buffers, ActorId, BufferSizingConfig, CsdfGraph, PhaseVec,
 };
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId};
 use serde::{Deserialize, Serialize};
@@ -63,7 +62,7 @@ pub struct ChannelBuffer {
 }
 
 /// Outcome of step 4.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step4Result {
     /// The composed whole-application CSDF graph (Figure 3), with all
     /// computed capacities applied.
@@ -362,15 +361,10 @@ pub fn check_constraints(
         }
     }
 
-    let (throughput_ok, achieved) = match check_source_period(&csdf, source, period) {
-        Ok((ok, tp)) => (ok, (tp.period, tp.iterations)),
-        Err(e) => {
-            feedback.push(Feedback::Infeasible {
-                detail: format!("throughput analysis failed: {e}"),
-            });
-            (false, (u64::MAX, 1))
-        }
-    };
+    // The sizing's last feasible probe simulated exactly this capacitated
+    // graph, so its throughput is the verdict.
+    let throughput_ok = sizing.achieved.sustains_period(period);
+    let achieved = (sizing.achieved.period, sizing.achieved.iterations);
     if !throughput_ok && feedback.is_empty() {
         feedback.push(Feedback::Infeasible {
             detail: format!(

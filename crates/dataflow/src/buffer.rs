@@ -19,11 +19,16 @@
 //! The result is feasible by construction and minimal per-channel (it may be
 //! off the Pareto frontier of *joint* minimality, as is Wiggers' — both are
 //! conservative).
+//!
+//! Every probe is a full [`check_source_period`] simulation, and the final
+//! capacity vector is always one the search probed feasible. Its measured
+//! throughput is returned as [`BufferSizing::achieved`]: that *is* step 4's
+//! throughput verdict, so the capacitated graph is never simulated again.
 
 use crate::error::DataflowError;
 use crate::graph::{ActorId, ChannelId, CsdfGraph};
 use crate::simulate::{SimConfig, Simulation};
-use crate::throughput::check_source_period;
+use crate::throughput::{check_source_period, Throughput};
 use rtsm_obs as obs;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -31,7 +36,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Configuration for [`size_buffers`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferSizingConfig {
     /// The strictly periodic source actor (fires one phase-cycle per
     /// `period`).
@@ -52,6 +57,11 @@ pub struct BufferSizing {
     pub capacities: Vec<(ChannelId, u64)>,
     /// Total of all computed capacities.
     pub total: u64,
+    /// Self-timed steady-state throughput of the source in the graph with
+    /// these capacities applied, from the search's last feasible probe. It
+    /// sustains the configured period and equals what
+    /// [`check_source_period`] reports on the capacitated graph.
+    pub achieved: Throughput,
 }
 
 impl BufferSizing {
@@ -64,20 +74,19 @@ impl BufferSizing {
     }
 }
 
-fn feasible(graph: &CsdfGraph, source: ActorId, period: u64) -> bool {
-    matches!(check_source_period(graph, source, period), Ok((true, _)))
+/// The source's throughput if `graph` sustains `period`, `None` if it does
+/// not or cannot be analysed.
+fn feasible(graph: &CsdfGraph, source: ActorId, period: u64) -> Option<Throughput> {
+    match check_source_period(graph, source, period) {
+        Ok((true, tp)) => Some(tp),
+        _ => None,
+    }
 }
 
 /// 64-bit FNV-1a — a fixed-key [`Hasher`] so the sizing-cache digest is
 /// identical across runs and threads (unlike `DefaultHasher`'s per-process
 /// keys in some configurations, this is specified byte-for-byte).
 struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new(basis: u64) -> Self {
-        Fnv64(basis)
-    }
-}
 
 impl Hasher for Fnv64 {
     fn finish(&self) -> u64 {
@@ -91,65 +100,83 @@ impl Hasher for Fnv64 {
     }
 }
 
-/// 128-bit structural digest of one sizing problem: the full graph (actor
-/// timing, channel rates, initial tokens, existing capacities) plus the
-/// [`BufferSizingConfig`]. Two calls with equal digests describe the same
-/// pure computation, so their results are interchangeable.
-fn sizing_digest(graph: &CsdfGraph, config: &BufferSizingConfig) -> u128 {
-    let mut digest = 0u128;
-    for basis in [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64] {
-        let mut h = Fnv64::new(basis);
-        for (_, actor) in graph.actors() {
-            actor.name.hash(&mut h);
-            actor.wcet.hash(&mut h);
-            actor.cycle_time.hash(&mut h);
-        }
-        for (_, channel) in graph.channels() {
-            channel.src.index().hash(&mut h);
-            channel.dst.index().hash(&mut h);
-            channel.prod.hash(&mut h);
-            channel.cons.hash(&mut h);
-            channel.initial_tokens.hash(&mut h);
-            channel.capacity.hash(&mut h);
-        }
-        config.source.index().hash(&mut h);
-        config.period.hash(&mut h);
-        for ch in &config.channels {
-            ch.index().hash(&mut h);
-        }
-        config.max_sweeps.hash(&mut h);
-        digest = (digest << 64) | u128::from(h.finish());
+/// Structural digest of one sizing problem: the full graph (actor timing,
+/// channel rates, initial tokens, existing capacities) plus the
+/// [`BufferSizingConfig`]. It only picks the cache slot; a hit is
+/// confirmed by comparing the stored problem in full, so a collision costs
+/// a re-size, never a wrong answer.
+fn sizing_digest(graph: &CsdfGraph, config: &BufferSizingConfig) -> u64 {
+    let mut h = Fnv64(0xcbf2_9ce4_8422_2325);
+    for (_, actor) in graph.actors() {
+        actor.name.hash(&mut h);
+        actor.wcet.hash(&mut h);
+        actor.cycle_time.hash(&mut h);
     }
-    digest
+    for (_, channel) in graph.channels() {
+        channel.src.index().hash(&mut h);
+        channel.dst.index().hash(&mut h);
+        channel.prod.hash(&mut h);
+        channel.cons.hash(&mut h);
+        channel.initial_tokens.hash(&mut h);
+        channel.capacity.hash(&mut h);
+    }
+    config.source.index().hash(&mut h);
+    config.period.hash(&mut h);
+    for ch in &config.channels {
+        ch.index().hash(&mut h);
+    }
+    config.max_sweeps.hash(&mut h);
+    h.finish()
+}
+
+/// One cached sizing together with the exact problem it answers.
+struct CacheEntry {
+    graph: CsdfGraph,
+    config: BufferSizingConfig,
+    sizing: BufferSizing,
 }
 
 thread_local! {
     /// Cross-call result cache: repeated admissions of the same
     /// application compose byte-identical CSDF graphs, so the whole
     /// (pure) sizing result can be reused across `map()` calls instead of
-    /// re-simulating identical capacity vectors. Thread-local so the
-    /// experiment harness's workers never share state; bounded and
-    /// flushed wholesale so memory stays fixed and behaviour stays
-    /// deterministic.
-    static SIZING_CACHE: RefCell<HashMap<u128, BufferSizing>> = RefCell::new(HashMap::new());
+    /// re-simulating identical capacity vectors. Entries are found by
+    /// digest and returned only if their stored graph and config equal
+    /// the query, so a digest collision is a miss, never a wrong answer.
+    /// Thread-local so the experiment harness's workers never share
+    /// state; bounded and flushed wholesale so memory stays fixed and
+    /// behaviour stays deterministic.
+    static SIZING_CACHE: RefCell<HashMap<u64, CacheEntry>> = RefCell::new(HashMap::new());
 }
 
 /// Entry bound of the cross-call sizing cache; on overflow the cache is
 /// cleared (a deterministic flush, unlike LRU tie-breaking on hash order).
 const SIZING_CACHE_CAP: usize = 512;
 
+/// Empties this thread's cross-call sizing cache, so the next
+/// [`size_buffers`] call for any problem runs the full search (the cold
+/// path). Results are identical either way.
+pub fn clear_sizing_cache() {
+    SIZING_CACHE.with(|c| c.borrow_mut().clear());
+}
+
 /// Computes minimal buffer capacities sustaining `config.period` at the
-/// source.
+/// source, and the throughput they achieve.
 ///
 /// The graph is taken by value, mutated internally, and the computed
 /// capacities are returned; apply them with [`apply_sizing`] if you need the
 /// capacitated graph itself.
 ///
+/// The returned [`BufferSizing::achieved`] throughput comes from the last
+/// feasible probe of the search, which ran on exactly the capacitated
+/// graph. It is the throughput verdict of step 4: callers need not
+/// re-simulate the sized graph to check the period.
+///
 /// Sizing is a pure function of `(graph, config)`, so results are memoised
-/// across calls (per thread, keyed by a structural digest): repeated
+/// across calls (per thread, keyed by the full problem): repeated
 /// admissions of the same application answer from the cache — counted as a
 /// `buffer_memo_hit` — without re-running any feasibility simulation. The
-/// returned capacities are identical with or without a cache hit.
+/// returned sizing is identical with or without a cache hit.
 ///
 /// # Errors
 ///
@@ -165,17 +192,28 @@ pub fn size_buffers(
 ) -> Result<BufferSizing, DataflowError> {
     let _span = obs::span(obs::Span::BufferSizing);
     let digest = sizing_digest(&graph, config);
-    if let Some(cached) = SIZING_CACHE.with(|c| c.borrow().get(&digest).cloned()) {
+    let cached = SIZING_CACHE.with(|c| {
+        c.borrow()
+            .get(&digest)
+            .filter(|e| e.graph == graph && e.config == *config)
+            .map(|e| e.sizing.clone())
+    });
+    if let Some(sizing) = cached {
         obs::count(obs::Counter::BufferMemoHit, 1);
-        return Ok(cached);
+        return Ok(sizing);
     }
-    let sizing = size_buffers_uncached(graph, config)?;
+    let sizing = size_buffers_uncached(graph.clone(), config)?;
     SIZING_CACHE.with(|c| {
         let mut cache = c.borrow_mut();
         if cache.len() >= SIZING_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(digest, sizing.clone());
+        let entry = CacheEntry {
+            graph,
+            config: config.clone(),
+            sizing: sizing.clone(),
+        };
+        cache.insert(digest, entry);
     });
     Ok(sizing)
 }
@@ -217,22 +255,25 @@ fn size_buffers_uncached(
     // Feasibility is a pure function of the capacity assignment, and the
     // fixpoint sweep revisits assignments it has already probed (a clean
     // second sweep re-validates every first-sweep decision), so memoise the
-    // simulations by target-capacity vector. This only skips duplicate
-    // runs — the computed capacities are identical with or without it.
-    let mut memo: HashMap<Vec<u64>, bool> = HashMap::new();
-    let mut feasible_memo = |graph: &CsdfGraph, source: ActorId, period: u64| -> bool {
-        let key: Vec<u64> = targets
+    // simulations by target-capacity vector, keeping the throughput of each
+    // feasible one. This only skips duplicate runs — the computed
+    // capacities are identical with or without it.
+    let key_of = |graph: &CsdfGraph| -> Vec<u64> {
+        targets
             .iter()
             .map(|&ch| graph.channel(ch).capacity.unwrap_or(u64::MAX))
-            .collect();
-        match memo.entry(key) {
+            .collect()
+    };
+    let mut memo: HashMap<Vec<u64>, Option<Throughput>> = HashMap::new();
+    let mut feasible_memo = |graph: &CsdfGraph, source: ActorId, period: u64| -> bool {
+        match memo.entry(key_of(graph)) {
             Entry::Occupied(hit) => {
                 obs::count(obs::Counter::BufferMemoHit, 1);
-                *hit.get()
+                hit.get().is_some()
             }
             Entry::Vacant(slot) => {
                 obs::count(obs::Counter::BufferProbe, 1);
-                *slot.insert(feasible(graph, source, period))
+                slot.insert(feasible(graph, source, period)).is_some()
             }
         }
     };
@@ -293,9 +334,8 @@ fn size_buffers_uncached(
                 graph.channel_mut(ch).capacity = Some(caps[i].saturating_mul(factor));
             }
             if feasible_memo(&graph, config.source, config.period) {
-                for (i, &ch) in targets.iter().enumerate() {
-                    caps[i] = graph.channel(ch).capacity.expect("capacity just set");
-                    let _ = ch;
+                for (cap, &ch) in caps.iter_mut().zip(&targets) {
+                    *cap = graph.channel(ch).capacity.expect("capacity just set");
                 }
                 break;
             }
@@ -340,9 +380,21 @@ fn size_buffers_uncached(
         }
     }
 
+    // The current assignment is either the validated pilot bound (or its
+    // feasible doubling) or the last `hi` a search probed feasible, so the
+    // memo holds its throughput. A plain lookup, not a counted memo hit.
+    let achieved = memo
+        .get(&key_of(&graph))
+        .copied()
+        .flatten()
+        .expect("the final capacity vector was probed feasible");
     let capacities: Vec<(ChannelId, u64)> = targets.iter().copied().zip(caps).collect();
     let total = capacities.iter().map(|(_, c)| c).sum();
-    Ok(BufferSizing { capacities, total })
+    Ok(BufferSizing {
+        capacities,
+        total,
+        achieved,
+    })
 }
 
 /// Applies a computed sizing to a graph (sets channel capacities).
@@ -402,8 +454,12 @@ mod tests {
         let sizing = size_buffers(g.clone(), &cfg).unwrap();
         let mut sized = g;
         apply_sizing(&mut sized, &sizing);
-        let (ok, _) = check_source_period(&sized, src, 10).unwrap();
+        let (ok, tp) = check_source_period(&sized, src, 10).unwrap();
         assert!(ok);
+        assert_eq!(
+            sizing.achieved, tp,
+            "achieved is the sized graph's throughput"
+        );
     }
 
     #[test]
@@ -479,6 +535,67 @@ mod tests {
             "a whole-result cache hit must not re-simulate any capacity vector"
         );
         assert_eq!(probe.counter_total(obs::Counter::BufferMemoHit), 1);
+    }
+
+    /// Plants, under the digest of `(graph, config)`, an entry whose stored
+    /// problem is `key` and whose answer is `sizing` — a digest collision.
+    fn plant_colliding_entry(
+        graph: &CsdfGraph,
+        config: &BufferSizingConfig,
+        key: (CsdfGraph, BufferSizingConfig),
+        sizing: BufferSizing,
+    ) {
+        let entry = CacheEntry {
+            graph: key.0,
+            config: key.1,
+            sizing,
+        };
+        SIZING_CACHE.with(|c| c.borrow_mut().insert(sizing_digest(graph, config), entry));
+    }
+
+    #[test]
+    fn a_digest_collision_is_a_miss_not_a_wrong_answer() {
+        use rtsm_obs::SpanLatencyProbe;
+        use std::rc::Rc;
+        let (g, src, chans) = pipeline(30, 23, 19);
+        let cfg = BufferSizingConfig {
+            source: src,
+            period: 30,
+            channels: chans.clone(),
+            max_sweeps: 3,
+        };
+        clear_sizing_cache();
+        let truth = size_buffers(g.clone(), &cfg).unwrap();
+        let wrong = BufferSizing {
+            capacities: chans.iter().map(|&ch| (ch, 99)).collect(),
+            total: 198,
+            achieved: Throughput {
+                iterations: 1,
+                period: 1,
+            },
+        };
+        // Once with a different graph, once with a different config.
+        let other_graph = (pipeline(30, 5, 5).0, cfg.clone());
+        let other_config = (
+            g.clone(),
+            BufferSizingConfig {
+                period: 31,
+                ..cfg.clone()
+            },
+        );
+        for key in [other_graph, other_config] {
+            plant_colliding_entry(&g, &cfg, key, wrong.clone());
+            let probe = Rc::new(SpanLatencyProbe::new());
+            let again = {
+                let _guard = obs::install(probe.clone());
+                size_buffers(g.clone(), &cfg).unwrap()
+            };
+            assert_eq!(again, truth, "a colliding entry must not be served");
+            assert!(
+                probe.counter_total(obs::Counter::BufferProbe) > 0,
+                "a key mismatch must re-run the search"
+            );
+        }
     }
 
     #[test]

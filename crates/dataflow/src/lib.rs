@@ -53,7 +53,9 @@ pub mod rational;
 pub mod simulate;
 pub mod throughput;
 
-pub use buffer::{apply_sizing, size_buffers, BufferSizing, BufferSizingConfig};
+pub use buffer::{
+    apply_sizing, clear_sizing_cache, size_buffers, BufferSizing, BufferSizingConfig,
+};
 pub use error::DataflowError;
 pub use graph::{ActorId, ActorSpec, Channel, ChannelId, CsdfGraph};
 pub use latency::iteration_latency;
