@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtsm_dataflow::mcr::maximum_cycle_ratio;
 use rtsm_dataflow::{
-    check_source_period, hsdf, size_buffers, BufferSizingConfig, CsdfGraph, PhaseVec, SimConfig,
-    Simulation,
+    check_source_period, clear_sizing_cache, hsdf, size_buffers, BufferSizingConfig, CsdfGraph,
+    PhaseVec, SimConfig, Simulation,
 };
 use std::hint::black_box;
 
@@ -73,22 +73,25 @@ fn simulation(c: &mut Criterion) {
     });
 }
 
+/// Cold sizing (the cross-call cache emptied inside every timed call, so
+/// each one runs the full probe search) and warm sizing (a cache hit).
 fn sizing(c: &mut Criterion) {
     let (g, src, targets) = figure3_like();
+    let config = BufferSizingConfig {
+        source: src,
+        period: 3_200_000,
+        channels: targets,
+        max_sweeps: 3,
+    };
     c.bench_function("dataflow/buffer_sizing", |b| {
         b.iter(|| {
-            let sizing = size_buffers(
-                g.clone(),
-                &BufferSizingConfig {
-                    source: src,
-                    period: 3_200_000,
-                    channels: targets.clone(),
-                    max_sweeps: 3,
-                },
-            )
-            .unwrap();
-            black_box(sizing.total)
+            clear_sizing_cache();
+            black_box(size_buffers(g.clone(), &config).unwrap().total)
         })
+    });
+    size_buffers(g.clone(), &config).unwrap();
+    c.bench_function("dataflow/buffer_sizing_warm", |b| {
+        b.iter(|| black_box(size_buffers(g.clone(), &config).unwrap().total))
     });
 }
 

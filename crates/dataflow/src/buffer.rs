@@ -20,15 +20,24 @@
 //! off the Pareto frontier of *joint* minimality, as is Wiggers' — both are
 //! conservative).
 //!
-//! Every probe is a full [`check_source_period`] simulation, and the final
-//! capacity vector is always one the search probed feasible. Its measured
-//! throughput is returned as [`BufferSizing::achieved`]: that *is* step 4's
-//! throughput verdict, so the capacitated graph is never simulated again.
+//! Every probe is a [`PeriodCheck`], whose verdict is always
+//! [`check_source_period`]'s. A probe that meets the period runs the
+//! self-timed simulation to its exact steady state. The final capacity
+//! vector is always one the search probed feasible, and its measured
+//! throughput is returned as [`BufferSizing::achieved`]: that *is* step
+//! 4's throughput verdict, so the capacitated graph is never simulated
+//! again. A probe that misses the period may instead end early, on a
+//! dependency cycle slower than the period (see [`crate::simulate`]); this
+//! is what keeps near-threshold probes, such as every channel's
+//! capacity − 1, cheap. The search reads only verdicts, so the capacities
+//! are the same either way.
+//!
+//! [`check_source_period`]: crate::throughput::check_source_period
 
 use crate::error::DataflowError;
 use crate::graph::{ActorId, ChannelId, CsdfGraph};
 use crate::simulate::{SimConfig, Simulation};
-use crate::throughput::{check_source_period, Throughput};
+use crate::throughput::{PeriodCheck, PeriodVerdict, Throughput};
 use rtsm_obs as obs;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -60,7 +69,8 @@ pub struct BufferSizing {
     /// Self-timed steady-state throughput of the source in the graph with
     /// these capacities applied, from the search's last feasible probe. It
     /// sustains the configured period and equals what
-    /// [`check_source_period`] reports on the capacitated graph.
+    /// [`check_source_period`](crate::throughput::check_source_period)
+    /// reports on the capacitated graph.
     pub achieved: Throughput,
 }
 
@@ -74,12 +84,15 @@ impl BufferSizing {
     }
 }
 
-/// The source's throughput if `graph` sustains `period`, `None` if it does
-/// not or cannot be analysed.
-fn feasible(graph: &CsdfGraph, source: ActorId, period: u64) -> Option<Throughput> {
-    match check_source_period(graph, source, period) {
-        Ok((true, tp)) => Some(tp),
-        _ => None,
+/// The source's throughput if `graph` sustains the period, `None` if it
+/// does not or cannot be analysed.
+fn feasible(check: &PeriodCheck, graph: &CsdfGraph) -> Option<Throughput> {
+    match check.check(graph) {
+        Ok(PeriodVerdict::SlowCycle { .. }) => {
+            obs::count(obs::Counter::BufferProbeCut, 1);
+            None
+        }
+        verdict => verdict.ok().and_then(PeriodVerdict::sustained),
     }
 }
 
@@ -264,20 +277,6 @@ fn size_buffers_uncached(
             .map(|&ch| graph.channel(ch).capacity.unwrap_or(u64::MAX))
             .collect()
     };
-    let mut memo: HashMap<Vec<u64>, Option<Throughput>> = HashMap::new();
-    let mut feasible_memo = |graph: &CsdfGraph, source: ActorId, period: u64| -> bool {
-        match memo.entry(key_of(graph)) {
-            Entry::Occupied(hit) => {
-                obs::count(obs::Counter::BufferMemoHit, 1);
-                hit.get().is_some()
-            }
-            Entry::Vacant(slot) => {
-                obs::count(obs::Counter::BufferProbe, 1);
-                slot.insert(feasible(graph, source, period)).is_some()
-            }
-        }
-    };
-
     // Pilot run with the target channels unbounded to obtain upper bounds.
     let mut unbounded = graph.clone();
     for &ch in &targets {
@@ -321,11 +320,27 @@ fn size_buffers_uncached(
         caps.push(ub);
         graph.channel_mut(ch).capacity = Some(ub);
     }
+    // Every probe from here on bounds the same channels, so the early-stop
+    // analysis (connectivity, repetition vector) is done once, here.
+    let check = PeriodCheck::new(&graph, config.source, config.period);
+    let mut memo: HashMap<Vec<u64>, Option<Throughput>> = HashMap::new();
+    let mut feasible_memo = |graph: &CsdfGraph| -> bool {
+        match memo.entry(key_of(graph)) {
+            Entry::Occupied(hit) => {
+                obs::count(obs::Counter::BufferMemoHit, 1);
+                hit.get().is_some()
+            }
+            Entry::Vacant(slot) => {
+                obs::count(obs::Counter::BufferProbe, 1);
+                slot.insert(feasible(&check, graph)).is_some()
+            }
+        }
+    };
 
     // The pilot bound is feasible only if the *combination* still meets the
     // period; this holds because capacities at peak pressure never block the
     // pilot schedule. Validate anyway (defensive).
-    if !feasible_memo(&graph, config.source, config.period) {
+    if !feasible_memo(&graph) {
         // Extremely conservative fallback: double until feasible (bounded by
         // a few steps; pressure bounds are near-tight in practice).
         let mut factor = 2u64;
@@ -333,7 +348,7 @@ fn size_buffers_uncached(
             for (i, &ch) in targets.iter().enumerate() {
                 graph.channel_mut(ch).capacity = Some(caps[i].saturating_mul(factor));
             }
-            if feasible_memo(&graph, config.source, config.period) {
+            if feasible_memo(&graph) {
                 for (cap, &ch) in caps.iter_mut().zip(&targets) {
                     *cap = graph.channel(ch).capacity.expect("capacity just set");
                 }
@@ -363,7 +378,7 @@ fn size_buffers_uncached(
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 graph.channel_mut(ch).capacity = Some(mid);
-                if feasible_memo(&graph, config.source, config.period) {
+                if feasible_memo(&graph) {
                     hi = mid;
                 } else {
                     lo = mid + 1;
@@ -408,6 +423,7 @@ pub fn apply_sizing(graph: &mut CsdfGraph, sizing: &BufferSizing) {
 mod tests {
     use super::*;
     use crate::phase::PhaseVec;
+    use crate::throughput::check_source_period;
 
     /// source(period P) -> worker(wcet w) -> sink(wcet s)
     fn pipeline(p: u64, w: u64, s: u64) -> (CsdfGraph, ActorId, Vec<ChannelId>) {

@@ -62,4 +62,6 @@ pub use latency::iteration_latency;
 pub use phase::PhaseVec;
 pub use rational::Ratio;
 pub use simulate::{FiringRecord, SimConfig, SimOutcome, Simulation, SteadyState};
-pub use throughput::{check_source_period, steady_state_throughput, Throughput};
+pub use throughput::{
+    check_source_period, steady_state_throughput, PeriodCheck, PeriodVerdict, Throughput,
+};

@@ -18,6 +18,20 @@
 //! Periodic steady state is detected *exactly* by hashing normalised
 //! simulator states at reference-actor iteration boundaries; the detected
 //! `(iterations, period)` pair gives the graph's self-timed throughput.
+//!
+//! A period-feasibility probe ([`crate::throughput::PeriodCheck`]) may
+//! stop before that, but only to answer "no". Once it has run two
+//! reference cycles without settling, every firing records the earlier
+//! firing whose completion enabled it: a tight edge of the HSDF expansion
+//! of [`CsdfGraph::expand_capacities`]. At each reference-cycle boundary
+//! from two graph iterations later on, the simulator walks these links
+//! back from every actor's latest firing until an HSDF node (actor, firing
+//! index mod firings-per-iteration) repeats. If that loop took time `D`
+//! for `m` graph iterations and `D > m · budget`, the graph is slower than
+//! the budget and the probe is infeasible; it need not run until its state
+//! repeats. A feasible probe never finds such a loop and runs to its exact
+//! steady state. Tracking stops after a fixed window either way, so its
+//! memory stays bounded.
 
 use crate::error::DataflowError;
 use crate::graph::{ActorId, CsdfGraph};
@@ -106,7 +120,7 @@ pub struct SimOutcome {
     pub records: Vec<FiringRecord>,
 }
 
-#[derive(Hash, PartialEq, Eq)]
+#[derive(Debug, Hash, PartialEq, Eq)]
 struct StateKey {
     phases: Vec<u32>,
     data: Vec<u64>,
@@ -157,6 +171,112 @@ pub struct Simulation<'g> {
     dst_tab: Vec<u32>,
     dur_off: Vec<u32>,
     dur_val: Vec<u64>,
+    // Run-loop state, kept here so a run can pause at a reference-cycle
+    // boundary and resume (with or without tracking) where it stopped.
+    reference: usize,
+    ref_phases: u64,
+    seen: HashMap<StateKey, (u64, u64)>,
+    steady: Option<SteadyState>,
+    deadlocked: bool,
+    last_snapshot_iter: u64,
+    dirty: Vec<bool>,
+    candidates: Vec<usize>,
+    track: Tracker,
+}
+
+/// Reference cycles a tracked run first spends untracked: feasible probes
+/// usually settle by then and pay nothing for the bookkeeping.
+const TRACK_FROM: u64 = 2;
+/// Graph iterations of links gathered before the first walk.
+const WALK_AFTER: u64 = 2;
+/// Graph iterations after [`TRACK_FROM`] at which a run that found no slow
+/// cycle drops its links and continues untracked, bounding their memory.
+const TRACK_SPAN: u64 = 16;
+/// HSDF nodes (firings per graph iteration) above which a run is not
+/// tracked, so a window holds at most `TRACK_SPAN · MAX_TRACKED_NODES`
+/// links.
+const MAX_TRACKED_NODES: u64 = 1 << 14;
+/// Marks the absence of a link.
+const NO_LINK: u32 = u32::MAX;
+
+/// A dependency loop found by a tracked run: its firings took `time` for
+/// `iterations` graph iterations, more than the budget allows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlowCycle {
+    pub time: u64,
+    pub iterations: u64,
+    /// Completed firings when the loop was found.
+    pub firings: u64,
+}
+
+/// Why [`Simulation::advance`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// Steady state, deadlock or a guard: the run is over.
+    Done,
+    /// The requested reference-cycle boundary was reached.
+    Paused,
+    /// A tracked run found a loop slower than its budget.
+    Slow(SlowCycle),
+}
+
+/// One tracked firing and the firing whose completion enabled it.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    actor: u32,
+    phase: u32,
+    /// The actor's firing index since time 0.
+    firing: u64,
+    end: u64,
+    duration: u64,
+    pred: u32,
+    /// The last walk that passed through this link.
+    walk: u32,
+}
+
+/// Critical-predecessor bookkeeping of a tracked run; empty otherwise.
+#[derive(Debug, Default)]
+struct Tracker {
+    /// Firing-repetition vector, and each actor's first HSDF node.
+    q: Vec<u64>,
+    node_base: Vec<usize>,
+    /// Most time one graph iteration may take.
+    budget: u128,
+    /// Reference-cycle boundary of the first walk.
+    walk_from: u64,
+    links: Vec<Link>,
+    /// Per actor: link of its latest started and latest completed firing.
+    started: Vec<u32>,
+    done: Vec<u32>,
+    /// Per HSDF node: the walk that last visited it, and its firing index
+    /// and the time summed so far then.
+    node_walk: Vec<u32>,
+    node_mark: Vec<(u64, u64)>,
+    walks: u32,
+}
+
+impl Tracker {
+    /// An empty tracker for a graph with firing-repetition vector `q`.
+    fn new(q: &[u64], r_src: u64, budget: u128) -> Self {
+        let mut node_base = Vec::with_capacity(q.len());
+        let mut nodes = 0usize;
+        for &qa in q {
+            node_base.push(nodes);
+            nodes += qa as usize;
+        }
+        Tracker {
+            q: q.to_vec(),
+            node_base,
+            budget,
+            walk_from: TRACK_FROM + WALK_AFTER * r_src,
+            links: Vec::with_capacity(nodes),
+            started: vec![NO_LINK; q.len()],
+            done: vec![NO_LINK; q.len()],
+            node_walk: vec![0; nodes],
+            node_mark: vec![(0, 0); nodes],
+            walks: 0,
+        }
+    }
 }
 
 impl<'g> Simulation<'g> {
@@ -224,6 +344,8 @@ impl<'g> Simulation<'g> {
             }
             dur_off.push(dur_val.len() as u32);
         }
+        let reference = config.reference.unwrap_or(ActorId(0)).index();
+        let ref_phases = graph.actor(ActorId(reference)).n_phases() as u64;
         Simulation {
             graph,
             config,
@@ -254,6 +376,19 @@ impl<'g> Simulation<'g> {
             dst_tab,
             dur_off,
             dur_val,
+            reference,
+            ref_phases,
+            seen: HashMap::new(),
+            steady: None,
+            deadlocked: false,
+            last_snapshot_iter: u64::MAX,
+            // Candidate-driven start scheduling: starting a firing only
+            // consumes resources, so only completions can enable new
+            // firings. The dirty set holds exactly the actors whose
+            // enablement may have changed.
+            dirty: vec![true; n],
+            candidates: (0..n).collect(),
+            track: Tracker::default(),
         }
     }
 
@@ -277,6 +412,9 @@ impl<'g> Simulation<'g> {
         self.prod_val[self.prod_off[ci] as usize + phase]
     }
 
+    // Both event loops (tracked and untracked) call this per candidate;
+    // left to the heuristics it is inlined into at most one of them.
+    #[inline(always)]
     fn can_start(&self, actor: usize) -> bool {
         if self.in_flight[actor].is_some() {
             return false;
@@ -298,7 +436,10 @@ impl<'g> Simulation<'g> {
         true
     }
 
-    fn start(&mut self, actor: usize) {
+    fn start<const TRACK: bool>(&mut self, actor: usize) {
+        if TRACK {
+            self.link_start(actor);
+        }
         let phase = self.phase[actor] as usize;
         for k in self.in_off[actor]..self.in_off[actor + 1] {
             let ci = self.in_ch[k as usize] as usize;
@@ -324,7 +465,10 @@ impl<'g> Simulation<'g> {
         self.events.push(Reverse((self.busy_until[actor], actor)));
     }
 
-    fn complete(&mut self, actor: usize) {
+    fn complete<const TRACK: bool>(&mut self, actor: usize) {
+        if TRACK {
+            self.track.done[actor] = self.track.started[actor];
+        }
         let id = ActorId(actor);
         let phase = self.in_flight[actor]
             .take()
@@ -369,6 +513,235 @@ impl<'g> Simulation<'g> {
         }
     }
 
+    /// Records the link of a firing of `actor` about to start at `now`,
+    /// before it takes its tokens and space. The predecessor is a firing
+    /// that completed at `now` and whose completion this firing needed:
+    ///
+    /// 1. the actor's own previous firing;
+    /// 2. the latest firing of an input's producer, if without its tokens
+    ///    the channel would hold fewer than this phase consumes;
+    /// 3. the latest firing of a bounded output's consumer, if without the
+    ///    space it freed the channel would lack room for this phase.
+    ///
+    /// Each is an edge of the HSDF expansion of the capacitated graph
+    /// (the sequential, data and space dependencies), tight at `now`. In
+    /// any other case the chain ends here: a missing link only loses a
+    /// proof, a wrong one would be unsound.
+    fn link_start(&mut self, actor: usize) {
+        let phase = self.phase[actor] as usize;
+        let pred = self.critical_pred(actor, phase);
+        let duration = self.dur_val[self.dur_off[actor] as usize + phase];
+        let index = self.track.links.len() as u32;
+        self.track.links.push(Link {
+            actor: actor as u32,
+            phase: phase as u32,
+            firing: self.completions[actor],
+            end: self.now + duration,
+            duration,
+            pred,
+            walk: 0,
+        });
+        self.track.started[actor] = index;
+    }
+
+    /// The link of the firing whose completion at `now` enabled `actor`'s
+    /// firing of `phase`, or [`NO_LINK`] (see [`Simulation::link_start`]).
+    fn critical_pred(&self, actor: usize, phase: usize) -> u32 {
+        let links = &self.track.links;
+        let done = &self.track.done;
+        let ended_now = |l: u32| l != NO_LINK && links[l as usize].end == self.now;
+        if ended_now(done[actor]) {
+            return done[actor];
+        }
+        for &ci in self.inputs(actor) {
+            let ci = ci as usize;
+            let u = done[self.src_tab[ci] as usize];
+            if ended_now(u) {
+                let produced = self.prod(ci, links[u as usize].phase as usize);
+                if self.data[ci] < self.cons(ci, phase) + produced {
+                    return u;
+                }
+            }
+        }
+        for &ci in self.outputs(actor) {
+            let ci = ci as usize;
+            let u = done[self.dst_tab[ci] as usize];
+            if self.cap_tab[ci] != u64::MAX && ended_now(u) {
+                let pressure = self.data[ci] + self.reserved[ci] + self.held[ci];
+                let freed = self.cons(ci, links[u as usize].phase as usize);
+                if pressure + self.prod(ci, phase) + freed > self.cap_tab[ci] {
+                    return u;
+                }
+            }
+        }
+        NO_LINK
+    }
+
+    /// Walks the links back from every actor's latest firing to the first
+    /// repeated HSDF node, and returns the first loop whose time exceeds
+    /// `iterations · budget`. A walk also ends where an earlier walk of
+    /// this round already went on, so one round costs at most one step per
+    /// link.
+    fn slow_cycle(&mut self) -> Option<SlowCycle> {
+        let t = &mut self.track;
+        let round = t.walks + 1;
+        for a in 0..t.started.len() {
+            let mut l = t.started[a];
+            t.walks += 1;
+            let walk = t.walks;
+            // Time from the start of the current firing to the start of the
+            // walk's first one.
+            let mut time = 0u64;
+            while l != NO_LINK {
+                let link = &mut t.links[l as usize];
+                if link.walk >= round {
+                    break;
+                }
+                link.walk = walk;
+                let actor = link.actor as usize;
+                let node = t.node_base[actor] + (link.firing % t.q[actor]) as usize;
+                if t.node_walk[node] == walk {
+                    // The loop from this firing to its later twin.
+                    let (later, time_later) = t.node_mark[node];
+                    let iterations = (later - link.firing) / t.q[actor];
+                    let loop_time = time - time_later;
+                    // An overflowing limit is beyond any u64 loop time.
+                    let limit = u128::from(iterations).checked_mul(t.budget);
+                    if limit.is_some_and(|limit| u128::from(loop_time) > limit) {
+                        return Some(SlowCycle {
+                            time: loop_time,
+                            iterations,
+                            firings: self.total_firings,
+                        });
+                    }
+                    break;
+                }
+                t.node_walk[node] = walk;
+                t.node_mark[node] = (link.firing, time);
+                l = link.pred;
+                if l != NO_LINK {
+                    // Saturating only shortens the loop: never a false proof.
+                    time = time.saturating_add(t.links[l as usize].duration);
+                }
+            }
+        }
+        None
+    }
+
+    /// Runs the event loop until the run ends or, at a reference-cycle
+    /// boundary, `pause_at` cycles are complete or (when `TRACK`) a slow
+    /// loop is found. Resuming after [`Stop::Paused`] continues exactly
+    /// where the run stopped.
+    fn advance<const TRACK: bool>(&mut self, pause_at: u64) -> Stop {
+        let reference = self.reference;
+        let ref_phases = self.ref_phases;
+        loop {
+            // Start every enabled candidate at the current time.
+            while let Some(a) = self.candidates.pop() {
+                self.dirty[a] = false;
+                if self.can_start(a) {
+                    self.start::<TRACK>(a);
+                }
+            }
+
+            // Steady-state snapshot at reference-iteration boundaries: only
+            // when the reference actor has just wrapped its phase cycle and
+            // the state at `now` is saturated (nothing more can start).
+            if self.config.stop_at_steady_state
+                && self.completions[reference] > 0
+                && self.completions[reference].is_multiple_of(ref_phases)
+                && self.phase[reference] == 0
+                && self.completions[reference] / ref_phases != self.last_snapshot_iter
+            {
+                let iterations = self.completions[reference] / ref_phases;
+                self.last_snapshot_iter = iterations;
+                match self.seen.entry(self.snapshot()) {
+                    Entry::Occupied(prev) => {
+                        let (it0, t0) = *prev.get();
+                        self.steady = Some(SteadyState {
+                            reference: ActorId(reference),
+                            iterations: iterations - it0,
+                            period: self.now - t0,
+                        });
+                        return Stop::Done;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert((iterations, self.now));
+                    }
+                }
+                if TRACK && iterations >= self.track.walk_from {
+                    if let Some(slow) = self.slow_cycle() {
+                        return Stop::Slow(slow);
+                    }
+                }
+                if iterations >= pause_at {
+                    return Stop::Paused;
+                }
+            }
+
+            if self.total_firings >= self.config.max_firings {
+                return Stop::Done;
+            }
+
+            // Advance to the next completion.
+            let Some(Reverse((t, _))) = self.events.peek().copied() else {
+                // No in-flight firings and nothing startable: deadlock (or a
+                // graph with no fireable actor at all).
+                self.deadlocked = true;
+                return Stop::Done;
+            };
+            if t > self.config.max_time {
+                return Stop::Done;
+            }
+            self.now = t;
+            while let Some(Reverse((t2, actor))) = self.events.peek().copied() {
+                if t2 != t {
+                    break;
+                }
+                self.events.pop();
+                self.complete::<TRACK>(actor);
+                // Wake the actors this completion may have enabled: the
+                // completer itself, consumers of its outputs (new data),
+                // and producers into its inputs (freed space).
+                let wake = |a: usize, dirty: &mut Vec<bool>, candidates: &mut Vec<usize>| {
+                    if !dirty[a] {
+                        dirty[a] = true;
+                        candidates.push(a);
+                    }
+                };
+                wake(actor, &mut self.dirty, &mut self.candidates);
+                for k in self.out_off[actor]..self.out_off[actor + 1] {
+                    let ci = self.out_ch[k as usize] as usize;
+                    wake(
+                        self.dst_tab[ci] as usize,
+                        &mut self.dirty,
+                        &mut self.candidates,
+                    );
+                }
+                for k in self.in_off[actor]..self.in_off[actor + 1] {
+                    let ci = self.in_ch[k as usize] as usize;
+                    wake(
+                        self.src_tab[ci] as usize,
+                        &mut self.dirty,
+                        &mut self.candidates,
+                    );
+                }
+            }
+        }
+    }
+
+    fn outcome(self) -> SimOutcome {
+        SimOutcome {
+            end_time: self.now,
+            total_firings: self.total_firings,
+            completions: self.completions,
+            max_pressure: self.max_pressure,
+            steady: self.steady,
+            deadlocked: self.deadlocked,
+            records: self.records,
+        }
+    }
+
     /// Runs the simulation to a guard, deadlock, or (if enabled) steady
     /// state.
     ///
@@ -379,108 +752,39 @@ impl<'g> Simulation<'g> {
     /// that callers can still inspect partial results. The `Result` is kept
     /// for forward compatibility.
     pub fn run(mut self) -> Result<SimOutcome, DataflowError> {
-        let reference = self.config.reference.unwrap_or(ActorId(0)).index();
-        let ref_phases = self.graph.actor(ActorId(reference)).n_phases() as u64;
-        let mut seen: HashMap<StateKey, (u64, u64)> = HashMap::new();
-        let mut steady: Option<SteadyState> = None;
-        let mut deadlocked = false;
-        let mut last_snapshot_iter = u64::MAX;
+        self.advance::<false>(u64::MAX);
+        Ok(self.outcome())
+    }
 
-        // Candidate-driven start scheduling: starting a firing only consumes
-        // resources, so only completions can enable new firings. The dirty
-        // set holds exactly the actors whose enablement may have changed.
-        let n_actors = self.graph.n_actors();
-        let mut dirty = vec![true; n_actors];
-        let mut candidates: Vec<usize> = (0..n_actors).collect();
-
-        'outer: loop {
-            // Start every enabled candidate at the current time.
-            while let Some(a) = candidates.pop() {
-                dirty[a] = false;
-                if self.can_start(a) {
-                    self.start(a);
+    /// Like [`Simulation::run`], but may stop early on a dependency loop
+    /// whose time per graph iteration exceeds `budget` (see the module
+    /// header). `q` is the graph's firing-repetition vector and `r_src` the
+    /// reference actor's cycle repetitions. Only sound when the graph is
+    /// strongly connected through its data and space edges; the caller
+    /// checks that. Without a slow loop the outcome equals `run`'s.
+    pub(crate) fn run_tracked(
+        mut self,
+        q: &[u64],
+        r_src: u64,
+        budget: u128,
+    ) -> Result<SimOutcome, SlowCycle> {
+        let nodes = q.iter().try_fold(0u64, |sum, &qa| sum.checked_add(qa));
+        if nodes.is_none_or(|nodes| nodes > MAX_TRACKED_NODES) {
+            self.advance::<false>(u64::MAX);
+            return Ok(self.outcome());
+        }
+        if self.advance::<false>(TRACK_FROM) == Stop::Paused {
+            self.track = Tracker::new(q, r_src, budget);
+            match self.advance::<true>(TRACK_FROM + TRACK_SPAN * r_src) {
+                Stop::Slow(slow) => return Err(slow),
+                Stop::Paused => {
+                    self.track = Tracker::default();
+                    self.advance::<false>(u64::MAX);
                 }
-            }
-
-            // Steady-state snapshot at reference-iteration boundaries: only
-            // when the reference actor has just wrapped its phase cycle and
-            // the state at `now` is saturated (nothing more can start).
-            if self.config.stop_at_steady_state
-                && steady.is_none()
-                && self.completions[reference] > 0
-                && self.completions[reference].is_multiple_of(ref_phases)
-                && self.phase[reference] == 0
-                && self.completions[reference] / ref_phases != last_snapshot_iter
-            {
-                let iterations = self.completions[reference] / ref_phases;
-                last_snapshot_iter = iterations;
-                match seen.entry(self.snapshot()) {
-                    Entry::Occupied(prev) => {
-                        let (it0, t0) = *prev.get();
-                        steady = Some(SteadyState {
-                            reference: ActorId(reference),
-                            iterations: iterations - it0,
-                            period: self.now - t0,
-                        });
-                        break 'outer;
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert((iterations, self.now));
-                    }
-                }
-            }
-
-            if self.total_firings >= self.config.max_firings {
-                break;
-            }
-
-            // Advance to the next completion.
-            let Some(Reverse((t, _))) = self.events.peek().copied() else {
-                // No in-flight firings and nothing startable: deadlock (or a
-                // graph with no fireable actor at all).
-                deadlocked = true;
-                break;
-            };
-            if t > self.config.max_time {
-                break;
-            }
-            self.now = t;
-            while let Some(Reverse((t2, actor))) = self.events.peek().copied() {
-                if t2 != t {
-                    break;
-                }
-                self.events.pop();
-                self.complete(actor);
-                // Wake the actors this completion may have enabled: the
-                // completer itself, consumers of its outputs (new data),
-                // and producers into its inputs (freed space).
-                let wake = |a: usize, dirty: &mut Vec<bool>, candidates: &mut Vec<usize>| {
-                    if !dirty[a] {
-                        dirty[a] = true;
-                        candidates.push(a);
-                    }
-                };
-                wake(actor, &mut dirty, &mut candidates);
-                for k in self.out_off[actor]..self.out_off[actor + 1] {
-                    let ci = self.out_ch[k as usize] as usize;
-                    wake(self.dst_tab[ci] as usize, &mut dirty, &mut candidates);
-                }
-                for k in self.in_off[actor]..self.in_off[actor + 1] {
-                    let ci = self.in_ch[k as usize] as usize;
-                    wake(self.src_tab[ci] as usize, &mut dirty, &mut candidates);
-                }
+                Stop::Done => {}
             }
         }
-
-        Ok(SimOutcome {
-            end_time: self.now,
-            total_firings: self.total_firings,
-            completions: self.completions,
-            max_pressure: self.max_pressure,
-            steady,
-            deadlocked,
-            records: self.records,
-        })
+        Ok(self.outcome())
     }
 }
 
@@ -610,6 +914,183 @@ mod tests {
         // Capacity 1 with space released only at consumer completion fully
         // serialises the two actors: period = 4 + 4.
         assert_eq!(steady.period / steady.iterations, 8);
+    }
+
+    /// src (period 100) → a (50) → b (51), every channel bounded, so the
+    /// graph is strongly connected through its space edges. Capacity 1
+    /// between `a` and `b` serialises them into a 101-per-iteration loop,
+    /// 1% slower than the source; the 64-token input buffer takes thousands
+    /// of firings to fill before the state repeats.
+    fn near_threshold_pipeline(ab_capacity: u64) -> CsdfGraph {
+        let mut g = CsdfGraph::new();
+        let src = g.add_actor("src", PhaseVec::single(100), 1);
+        let a = g.add_actor("a", PhaseVec::single(50), 1);
+        let b = g.add_actor("b", PhaseVec::single(51), 1);
+        let one = || PhaseVec::single(1);
+        g.add_channel_full(src, a, one(), one(), 0, Some(64))
+            .unwrap();
+        g.add_channel_full(a, b, one(), one(), 0, Some(ab_capacity))
+            .unwrap();
+        g
+    }
+
+    fn tracked(g: &CsdfGraph, budget: u128) -> Result<SimOutcome, SlowCycle> {
+        let q = g.firing_repetition_vector().unwrap();
+        Simulation::new(g, SimConfig::default()).run_tracked(&q, 1, budget)
+    }
+
+    #[test]
+    fn tracked_run_stops_on_a_loop_slower_than_the_budget() {
+        let g = near_threshold_pipeline(1);
+        let plain = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let steady = plain.steady.expect("steady state");
+        assert_eq!((steady.iterations, steady.period), (1, 101));
+        assert!(plain.total_firings > 10_000, "{}", plain.total_firings);
+
+        let slow = tracked(&g, 100).expect_err("a 101-per-iteration loop");
+        assert_eq!((slow.time, slow.iterations), (101, 1));
+        assert!(
+            slow.firings * 50 < plain.total_firings,
+            "stopped after {} of {} firings",
+            slow.firings,
+            plain.total_firings
+        );
+        // With the budget at the loop's own time there is no proof: the run
+        // goes on to exactly the plain run's outcome.
+        let outcome = tracked(&g, 101).expect("no loop slower than 101");
+        assert_eq!(format!("{outcome:?}"), format!("{plain:?}"));
+    }
+
+    #[test]
+    fn tracked_run_of_a_feasible_graph_equals_the_plain_run() {
+        let g = near_threshold_pipeline(2);
+        let plain = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let steady = plain.steady.expect("steady state");
+        assert_eq!((steady.iterations, steady.period), (1, 100));
+        let outcome = tracked(&g, 100).expect("the source is the bottleneck");
+        assert_eq!(format!("{outcome:?}"), format!("{plain:?}"));
+    }
+
+    /// A draw in `0..n` from a splitmix64 stream.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// A chain of 2–4 multi-phase actors with durations 1–3 (so many
+    /// completions coincide), multi-rate channels bounded near their
+    /// floor, and sometimes a forward shortcut from the first to the last
+    /// actor (a fork and a join) or a back edge carrying one iteration of
+    /// tokens.
+    fn coincident_chain(seed: u64) -> CsdfGraph {
+        let rng = &mut { seed };
+        let mut g = CsdfGraph::new();
+        let phases: Vec<usize> = (0..2 + draw(rng, 3))
+            .map(|_| 1 + draw(rng, 2) as usize)
+            .collect();
+        let ids: Vec<ActorId> = phases
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let wcet: Vec<u64> = (0..p).map(|_| 1 + draw(rng, 3)).collect();
+                g.add_actor(format!("a{i}"), PhaseVec::from_slice(&wcet), 1)
+            })
+            .collect();
+        let rates = |rng: &mut u64, p: usize| {
+            let v: Vec<u64> = (0..p)
+                .map(|k| draw(rng, 3).max(u64::from(k == 0)))
+                .collect();
+            PhaseVec::from_slice(&v)
+        };
+        for (i, w) in ids.windows(2).enumerate() {
+            let (prod, cons) = (rates(rng, phases[i]), rates(rng, phases[i + 1]));
+            let floor = prod.max().max(cons.max());
+            let cap = floor + draw(rng, 2 * floor);
+            g.add_channel_full(w[0], w[1], prod, cons, 0, Some(cap))
+                .unwrap();
+        }
+        // Per cycle, `from` produces r_to and `to` consumes r_from tokens,
+        // in their first phases: consistent with the chain.
+        let reps = g.repetition_vector().unwrap();
+        let (first, last) = (ids[0], *ids.last().unwrap());
+        let (r_first, r_last) = (reps[first.index()], reps[last.index()]);
+        let one_phase = |total: u64, phases: usize| {
+            let mut v = vec![0; phases];
+            v[0] = total;
+            PhaseVec::from_slice(&v)
+        };
+        let last_phases = phases[phases.len() - 1];
+        let (forward, back) = (
+            one_phase(r_last, phases[0]),
+            one_phase(r_first, last_phases),
+        );
+        match draw(rng, 3) {
+            0 => {
+                let cap = r_first.max(r_last) + draw(rng, 2);
+                g.add_channel_full(first, last, forward, back, 0, Some(cap))
+                    .unwrap();
+            }
+            1 => {
+                let tokens = r_first * r_last;
+                let cap = tokens + draw(rng, tokens + 1);
+                g.add_channel_full(last, first, back, forward, tokens, Some(cap))
+                    .unwrap();
+            }
+            _ => {}
+        }
+        g
+    }
+
+    /// Every link a tracked run records joins two firings by an edge of the
+    /// HSDF expansion of the capacitated graph, with the iteration distance
+    /// as its tokens, and is tight: the firing started as its predecessor
+    /// ended. A slow-cycle proof is sound only because of this.
+    #[test]
+    fn every_link_is_a_tight_hsdf_edge() {
+        use crate::hsdf;
+        use std::collections::HashSet;
+        let mut checked = 0;
+        for seed in 0..300 {
+            let g = coincident_chain(seed);
+            let q = g.firing_repetition_vector().unwrap();
+            let h = hsdf::expand(&g.expand_capacities()).unwrap();
+            let edges: HashSet<(usize, usize, u64)> =
+                h.edges.iter().map(|e| (e.from, e.to, e.tokens)).collect();
+            let config = SimConfig {
+                max_firings: 20,
+                stop_at_steady_state: false,
+                ..SimConfig::default()
+            };
+            // Untracked at first, so some firings are enabled by
+            // completions that have no link.
+            let mut sim = Simulation::new(&g, config);
+            sim.advance::<false>(u64::MAX);
+            sim.config.max_firings = 320;
+            sim.track = Tracker::new(&q, 1, u128::MAX);
+            sim.advance::<true>(u64::MAX);
+            let t = &sim.track;
+            for link in &t.links {
+                if link.pred == NO_LINK {
+                    continue;
+                }
+                let pred = &t.links[link.pred as usize];
+                let node = |l: &Link| {
+                    let a = l.actor as usize;
+                    (t.node_base[a] + (l.firing % q[a]) as usize, l.firing / q[a])
+                };
+                let ((from, from_iter), (to, to_iter)) = (node(pred), node(link));
+                assert!(
+                    edges.contains(&(from, to, to_iter - from_iter)),
+                    "seed {seed}: link {pred:?} -> {link:?} is no HSDF edge"
+                );
+                assert_eq!(pred.end, link.end - link.duration, "seed {seed}: slack");
+                checked += 1;
+            }
+        }
+        assert!(checked > 50_000, "only {checked} links checked");
     }
 
     #[test]

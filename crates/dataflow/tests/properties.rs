@@ -1,10 +1,13 @@
 //! Property-based tests for the CSDF engine.
 
 use proptest::prelude::*;
-use rtsm_dataflow::graph::CsdfGraph;
+use rtsm_dataflow::graph::{ActorId, ChannelId, CsdfGraph};
 use rtsm_dataflow::mcr::maximum_cycle_ratio;
 use rtsm_dataflow::simulate::{SimConfig, Simulation};
-use rtsm_dataflow::{hsdf, PhaseVec, Ratio};
+use rtsm_dataflow::{
+    apply_sizing, check_source_period, hsdf, size_buffers, BufferSizingConfig, PeriodCheck,
+    PeriodVerdict, PhaseVec, Ratio,
+};
 
 /// Strategy: a phase vector with the given total, split over 1..=4 phases.
 fn phase_vec_with_total(total: u64) -> impl Strategy<Value = PhaseVec> {
@@ -240,6 +243,72 @@ proptest! {
     }
 }
 
+/// A multi-phase, multi-rate chain of `wcets.len()` actors with unbounded
+/// channels, closed into a ring by a token-carrying back edge when
+/// `back_edge > 0`, and the source period the sizing tests require. Open
+/// chains pace the source at the required period, as step 4's A/D source
+/// is, so the unbounded pilot run reaches a steady state whenever the
+/// downstream actors keep up. Closed chains bound their own tokens, so
+/// there the source may run up to `slack` times faster than required and
+/// the achieved throughput depends on the capacities chosen.
+fn chain_or_ring(
+    wcets: &[Vec<u64>],
+    rates: &[u64],
+    tokens: &[u64],
+    back_edge: u64,
+    pace: u64,
+    slack: u64,
+) -> (CsdfGraph, Vec<ActorId>, u64) {
+    let mut g = CsdfGraph::new();
+    let ids: Vec<_> = wcets
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let cycle_time = if i == 0 { pace } else { 1 };
+            g.add_actor(format!("a{i}"), PhaseVec::from_slice(w), cycle_time)
+        })
+        .collect();
+    let slack = if back_edge > 0 { slack } else { 1 };
+    let period = slack * pace * wcets[0].iter().sum::<u64>();
+    // Per-phase rates drawn from `rates`; the first phase is at least 1
+    // so every channel moves tokens.
+    let mut next_rate = rates.iter().cycle();
+    let mut rate_vec = |phases: usize| {
+        let v: Vec<u64> = (0..phases)
+            .map(|k| next_rate.next().copied().unwrap().max(u64::from(k == 0)))
+            .collect();
+        PhaseVec::from_slice(&v)
+    };
+    for (i, w) in ids.windows(2).enumerate() {
+        let prod = rate_vec(wcets[i].len());
+        let cons = rate_vec(wcets[i + 1].len());
+        g.add_channel_full(w[0], w[1], prod, cons, tokens[i], None)
+            .unwrap();
+    }
+    if back_edge > 0 {
+        // A consistent back edge: the last actor produces r_first per
+        // cycle, the first consumes r_last, and `back_edge` iterations'
+        // worth of tokens sit on it initially.
+        let reps = g.repetition_vector().unwrap();
+        let (first, last) = (ids[0], *ids.last().unwrap());
+        let (r_first, r_last) = (reps[first.index()], reps[last.index()]);
+        let mut prod = vec![0; wcets[wcets.len() - 1].len()];
+        prod[0] = r_first;
+        let mut cons = vec![0; wcets[0].len()];
+        cons[0] = r_last;
+        g.add_channel_full(
+            last,
+            first,
+            PhaseVec::from_slice(&prod),
+            PhaseVec::from_slice(&cons),
+            back_edge * r_first * r_last,
+            None,
+        )
+        .unwrap();
+    }
+    (g, ids, period)
+}
+
 proptest! {
     // Cases are cheap (well under a millisecond each); about 70% of the
     // graphs size successfully, the rest are compute-bound below the
@@ -250,12 +319,7 @@ proptest! {
     /// re-check gives: on multi-phase, multi-rate chains (some closed into
     /// a cycle by a token-carrying back edge), every graph sized
     /// successfully has `achieved` equal to `check_source_period` on the
-    /// capacitated graph. Open chains pace the source at the required
-    /// period, as step 4's A/D source is, so the unbounded pilot run
-    /// reaches a steady state whenever the downstream actors keep up.
-    /// Closed chains bound their own tokens, so there the source may run
-    /// up to `slack` times faster than required and the achieved
-    /// throughput depends on the capacities chosen.
+    /// capacitated graph.
     #[test]
     fn sizing_achieved_equals_an_independent_recheck(
         wcets in proptest::collection::vec(proptest::collection::vec(1u64..=9, 1..=3), 2..=4),
@@ -266,52 +330,7 @@ proptest! {
         slack in 1u64..=3,
         max_sweeps in 1usize..=3,
     ) {
-        let mut g = CsdfGraph::new();
-        let ids: Vec<_> = wcets
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let cycle_time = if i == 0 { pace } else { 1 };
-                g.add_actor(format!("a{i}"), PhaseVec::from_slice(w), cycle_time)
-            })
-            .collect();
-        let slack = if back_edge > 0 { slack } else { 1 };
-        let period = slack * pace * wcets[0].iter().sum::<u64>();
-        // Per-phase rates drawn from `rates`; the first phase is at least 1
-        // so every channel moves tokens.
-        let mut next_rate = rates.iter().cycle();
-        let mut rate_vec = |phases: usize| {
-            let v: Vec<u64> = (0..phases)
-                .map(|k| next_rate.next().copied().unwrap().max(u64::from(k == 0)))
-                .collect();
-            PhaseVec::from_slice(&v)
-        };
-        for (i, w) in ids.windows(2).enumerate() {
-            let prod = rate_vec(wcets[i].len());
-            let cons = rate_vec(wcets[i + 1].len());
-            g.add_channel_full(w[0], w[1], prod, cons, tokens[i], None).unwrap();
-        }
-        if back_edge > 0 {
-            // A consistent back edge: the last actor produces r_first per
-            // cycle, the first consumes r_last, and `back_edge` iterations'
-            // worth of tokens sit on it initially.
-            let reps = g.repetition_vector().unwrap();
-            let (first, last) = (ids[0], *ids.last().unwrap());
-            let (r_first, r_last) = (reps[first.index()], reps[last.index()]);
-            let mut prod = vec![0; wcets[wcets.len() - 1].len()];
-            prod[0] = r_first;
-            let mut cons = vec![0; wcets[0].len()];
-            cons[0] = r_last;
-            g.add_channel_full(
-                last,
-                first,
-                PhaseVec::from_slice(&prod),
-                PhaseVec::from_slice(&cons),
-                back_edge * r_first * r_last,
-                None,
-            )
-            .unwrap();
-        }
+        let (g, ids, period) = chain_or_ring(&wcets, &rates, &tokens, back_edge, pace, slack);
         let config = rtsm_dataflow::BufferSizingConfig {
             source: ids[0],
             period,
@@ -326,6 +345,122 @@ proptest! {
             prop_assert_eq!(sizing.achieved, tp);
         }
     }
+}
+
+/// The probes sizing makes near its threshold: the sized vector itself and,
+/// per sized channel, one token less (never below the channel's floor, as
+/// the search never goes there).
+fn near_threshold_probes(g: &CsdfGraph, config: &BufferSizingConfig) -> Vec<CsdfGraph> {
+    let Ok(sizing) = size_buffers(g.clone(), config) else {
+        return Vec::new();
+    };
+    let mut sized = g.clone();
+    apply_sizing(&mut sized, &sizing);
+    let mut probes = vec![sized.clone()];
+    for &(ch, cap) in &sizing.capacities {
+        let c = sized.channel(ch);
+        let floor = c.prod.max().max(c.cons.max()).max(c.initial_tokens).max(1);
+        if cap > floor {
+            let mut probe = sized.clone();
+            probe.channel_mut(ch).capacity = Some(cap - 1);
+            probes.push(probe);
+        }
+    }
+    probes
+}
+
+/// Checks one probe against `check_source_period`, and a slow-cycle proof
+/// against the maximum cycle ratio of the capacitated graph's HSDF
+/// expansion. Returns whether the probe ended on a proof.
+fn probe_agrees(check: &PeriodCheck, probe: &CsdfGraph, source: ActorId, period: u64) -> bool {
+    let reference = check_source_period(probe, source, period);
+    match check.check(probe) {
+        Ok(PeriodVerdict::Measured(ok, tp)) => {
+            assert_eq!(reference, Ok((ok, tp)));
+            false
+        }
+        Ok(PeriodVerdict::SlowCycle { time, iterations }) => {
+            assert!(!matches!(reference, Ok((true, _))), "{reference:?}");
+            let r_src = probe.repetition_vector().unwrap()[source.index()];
+            let budget = Ratio::integer(i128::from(r_src) * i128::from(period));
+            let cycle = Ratio::new(i128::from(time), i128::from(iterations));
+            assert!(cycle > budget, "cycle {cycle} within the budget {budget}");
+            let hsdf = hsdf::expand(&probe.expand_capacities()).unwrap();
+            let mcr = maximum_cycle_ratio(&hsdf).unwrap();
+            assert!(mcr > budget, "MCR {mcr} within the budget {budget}");
+            assert!(mcr >= cycle, "MCR {mcr} below the cycle found, {cycle}");
+            true
+        }
+        Err(e) => {
+            assert!(reference.is_err(), "{e} vs {reference:?}");
+            false
+        }
+    }
+}
+
+/// Draws `cases` random chains of at least `min_actors` actors (rings too
+/// when `rings`) as `chain_or_ring` builds them, sizes the channels
+/// `targets` picks, and checks every near-threshold probe with
+/// `probe_agrees`. Returns how many probes ended on a proof.
+fn check_random_probes(
+    cases: u32,
+    min_actors: usize,
+    rings: bool,
+    targets: impl Fn(&CsdfGraph) -> Vec<ChannelId>,
+) -> usize {
+    use proptest::collection::vec;
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(cases));
+    let mut cuts = 0;
+    for _ in 0..runner.cases() {
+        let rng = runner.rng();
+        let wcets = vec(vec(1u64..=9, 1..=3), min_actors..=4).generate(rng);
+        let rates = vec(0u64..=3, 24).generate(rng);
+        let tokens = vec(0u64..=2, 4).generate(rng);
+        let back_edge = if rings { (0u64..=2).generate(rng) } else { 0 };
+        let pace = (1u64..=4).generate(rng);
+        let slack = (1u64..=3).generate(rng);
+        let (g, ids, period) = chain_or_ring(&wcets, &rates, &tokens, back_edge, pace, slack);
+        let config = BufferSizingConfig {
+            source: ids[0],
+            period,
+            channels: targets(&g),
+            max_sweeps: 3,
+        };
+        let probes = near_threshold_probes(&g, &config);
+        if let Some(sized) = probes.first() {
+            let check = PeriodCheck::new(sized, ids[0], period);
+            for probe in &probes {
+                cuts += usize::from(probe_agrees(&check, probe, ids[0], period));
+            }
+        }
+    }
+    cuts
+}
+
+/// The early stop never changes a verdict: on random strongly connected
+/// chains and rings (every channel sized, so bounded), the probe of the
+/// sized vector and of each channel one token below it gives
+/// `check_source_period`'s verdict and throughput, and every slow-cycle
+/// proof is confirmed by the HSDF maximum cycle ratio.
+#[test]
+fn sizing_probes_equal_check_source_period() {
+    let cuts = check_random_probes(256, 2, true, |_| Vec::new());
+    assert!(
+        cuts > 0,
+        "no probe ended on a proof: the oracle went unused"
+    );
+}
+
+/// A channel left unbounded breaks strong connectivity (nothing flows back
+/// from the open end), so the early stop is off: no probe ends on a proof
+/// and every verdict still matches.
+#[test]
+fn an_unbounded_channel_disables_the_early_stop() {
+    let all_but_the_last = |g: &CsdfGraph| {
+        let channels: Vec<ChannelId> = g.channels().map(|(id, _)| id).collect();
+        channels[..channels.len() - 1].to_vec()
+    };
+    assert_eq!(check_random_probes(128, 3, false, all_but_the_last), 0);
 }
 
 #[test]

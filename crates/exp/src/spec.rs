@@ -506,6 +506,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_an_abort() {
+        let err = serde_json::from_str::<ExperimentSpec>(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.classify(), serde_json::Category::RecursionLimit);
+    }
+
+    #[test]
     fn specs_round_trip_through_json() {
         let spec = small_spec();
         let text = serde_json::to_string(&spec).unwrap();

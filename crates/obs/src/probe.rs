@@ -17,7 +17,7 @@ use std::rc::Rc;
 pub const N_SPANS: usize = 12;
 
 /// Number of distinct [`Counter`] kinds, for fixed-size tables.
-pub const N_COUNTERS: usize = 6;
+pub const N_COUNTERS: usize = 7;
 
 /// The instrumented regions of the admission path. Span begin/end events
 /// always come in balanced, properly nested pairs per thread.
@@ -127,6 +127,9 @@ pub enum Counter {
     /// An admission that found no instantiable shape and fell back to
     /// the full heuristic (whose result is learned into the library).
     TemplateMiss,
+    /// A [`Counter::BufferProbe`] that stopped early on a dependency cycle
+    /// slower than the required period, proving its capacities infeasible.
+    BufferProbeCut,
 }
 
 impl Counter {
@@ -138,6 +141,7 @@ impl Counter {
         Counter::TxAbort,
         Counter::TemplateHit,
         Counter::TemplateMiss,
+        Counter::BufferProbeCut,
     ];
 
     /// Dense index of this counter, `0..N_COUNTERS`.
@@ -154,6 +158,7 @@ impl Counter {
             Counter::TxAbort => "tx_abort",
             Counter::TemplateHit => "template_hit",
             Counter::TemplateMiss => "template_miss",
+            Counter::BufferProbeCut => "buffer_probe_cut",
         }
     }
 }
