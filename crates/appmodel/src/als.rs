@@ -43,23 +43,23 @@ impl ApplicationSpec {
                     process: process.name.clone(),
                 });
             }
-            let in_channels = self.graph.inputs_of(pid);
-            let out_channels = self.graph.outputs_of(pid);
+            let n_inputs = self.graph.inputs_of(pid).count();
+            let n_outputs = self.graph.outputs_of(pid).count();
             for implementation in impls {
-                if implementation.inputs.len() != in_channels.len() {
+                if implementation.inputs.len() != n_inputs {
                     return Err(AppModelError::PortMismatch {
                         implementation: implementation.name.clone(),
                         direction: "input",
                         has: implementation.inputs.len(),
-                        expected: in_channels.len(),
+                        expected: n_inputs,
                     });
                 }
-                if implementation.outputs.len() != out_channels.len() {
+                if implementation.outputs.len() != n_outputs {
                     return Err(AppModelError::PortMismatch {
                         implementation: implementation.name.clone(),
                         direction: "output",
                         has: implementation.outputs.len(),
-                        expected: out_channels.len(),
+                        expected: n_outputs,
                     });
                 }
                 if !implementation.phases_consistent() {
@@ -70,8 +70,8 @@ impl ApplicationSpec {
                 }
                 // One consistent cycles-per-period across all ports.
                 let mut cycles: Option<u64> = None;
-                for (port, ch) in in_channels.iter().enumerate() {
-                    let tokens = self.graph.channel(*ch).tokens_per_period;
+                for (port, ch) in self.graph.inputs_of(pid).enumerate() {
+                    let tokens = self.graph.channel(ch).tokens_per_period;
                     let c = implementation
                         .cycles_per_period_in(port, tokens)
                         .ok_or_else(|| AppModelError::RateMismatch {
@@ -89,8 +89,8 @@ impl ApplicationSpec {
                         });
                     }
                 }
-                for (port, ch) in out_channels.iter().enumerate() {
-                    let tokens = self.graph.channel(*ch).tokens_per_period;
+                for (port, ch) in self.graph.outputs_of(pid).enumerate() {
+                    let tokens = self.graph.channel(ch).tokens_per_period;
                     let per_cycle = implementation.tokens_out_per_cycle(port);
                     if per_cycle == 0 || !tokens.is_multiple_of(per_cycle) {
                         return Err(AppModelError::RateMismatch {
@@ -122,16 +122,14 @@ impl ApplicationSpec {
         process: ProcessId,
         implementation: &crate::implementation::Implementation,
     ) -> u64 {
-        let inputs = self.graph.inputs_of(process);
-        if let Some(first) = inputs.first() {
-            let tokens = self.graph.channel(*first).tokens_per_period;
+        if let Some(first) = self.graph.inputs_of(process).next() {
+            let tokens = self.graph.channel(first).tokens_per_period;
             if let Some(c) = implementation.cycles_per_period_in(0, tokens) {
                 return c;
             }
         }
-        let outputs = self.graph.outputs_of(process);
-        if let Some(first) = outputs.first() {
-            let tokens = self.graph.channel(*first).tokens_per_period;
+        if let Some(first) = self.graph.outputs_of(process).next() {
+            let tokens = self.graph.channel(first).tokens_per_period;
             let per_cycle = implementation.tokens_out_per_cycle(0);
             if per_cycle > 0 && tokens.is_multiple_of(per_cycle) {
                 return tokens / per_cycle;

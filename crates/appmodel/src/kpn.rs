@@ -255,20 +255,20 @@ impl ProcessGraph {
             .map(ProcessId)
     }
 
-    /// Data input channels of `process`, in port (insertion) order.
-    pub fn inputs_of(&self, process: ProcessId) -> Vec<KpnChannelId> {
+    /// Data input channels of `process`, in port (insertion) order: the
+    /// `n`-th item is the channel on input port `n`. Allocation-free.
+    pub fn inputs_of(&self, process: ProcessId) -> impl Iterator<Item = KpnChannelId> + '_ {
         self.stream_channels()
-            .filter(|(_, c)| c.dst == Endpoint::Process(process))
+            .filter(move |(_, c)| c.dst == Endpoint::Process(process))
             .map(|(id, _)| id)
-            .collect()
     }
 
-    /// Data output channels of `process`, in port (insertion) order.
-    pub fn outputs_of(&self, process: ProcessId) -> Vec<KpnChannelId> {
+    /// Data output channels of `process`, in port (insertion) order: the
+    /// `n`-th item is the channel on output port `n`. Allocation-free.
+    pub fn outputs_of(&self, process: ProcessId) -> impl Iterator<Item = KpnChannelId> + '_ {
         self.stream_channels()
-            .filter(|(_, c)| c.src == Endpoint::Process(process))
+            .filter(move |(_, c)| c.src == Endpoint::Process(process))
             .map(|(id, _)| id)
-            .collect()
     }
 
     /// Neighbouring stream processes of `process` (union of producers into
@@ -382,7 +382,7 @@ mod tests {
         assert_eq!(g.stream_channels().count(), 4);
         assert_eq!(g.channels().count(), 5);
         assert_eq!(g.stream_processes().count(), 3);
-        assert_eq!(g.inputs_of(ids[2]).len(), 1);
+        assert_eq!(g.inputs_of(ids[2]).count(), 1);
         // Control process excluded from topological order.
         assert_eq!(g.topological_order().unwrap().len(), 3);
     }
@@ -421,6 +421,6 @@ mod tests {
         let c2 = g
             .add_channel(Endpoint::Process(b), Endpoint::Process(join), 8)
             .unwrap();
-        assert_eq!(g.inputs_of(join), vec![c1, c2]);
+        assert_eq!(g.inputs_of(join).collect::<Vec<_>>(), vec![c1, c2]);
     }
 }

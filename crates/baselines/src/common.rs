@@ -14,7 +14,7 @@ use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::error::MapError;
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, Step4Config};
-use rtsm_core::{Mapping, MappingOutcome};
+use rtsm_core::{Mapping, MappingOutcome, SpecIndex};
 use rtsm_platform::{EnergyModel, Platform, PlatformState};
 
 /// Routes and feasibility-checks an assignment-only mapping, producing a
@@ -33,19 +33,26 @@ pub fn finalize_assignment(
     // — step 3 requires a route-free mapping.
     mapping.clear_routes();
     // Rebuild the working state from the assignments.
+    let index = SpecIndex::new(spec, platform);
     let mut working = base.clone();
     for (pid, assignment) in mapping.assignments() {
-        let implementation = spec.library.impls_for(pid).get(assignment.impl_index)?;
-        let claim = claim_for(spec, pid, implementation);
-        if !working.fits_tile(platform, assignment.tile, &claim) {
+        if assignment.impl_index >= spec.library.impls_for(pid).len() {
+            return None;
+        }
+        let claim = index.claim(pid, assignment.impl_index);
+        if !working.fits_tile(platform, assignment.tile, claim) {
             return None;
         }
         working
-            .claim_tile(platform, assignment.tile, &reservation_of(&claim))
+            .claim_tile(
+                platform,
+                assignment.tile,
+                index.reservation(pid, assignment.impl_index),
+            )
             .ok()?;
     }
     route_channels(spec, platform, &mut mapping, &mut working).ok()?;
-    let step4 = check_constraints(spec, platform, &mapping, &working, &Step4Config::default());
+    let step4 = check_constraints(&index, &mapping, &working, &Step4Config::default());
     if !step4.feasible {
         return None;
     }

@@ -21,11 +21,10 @@ use crate::spiral::spiral_assignment;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtsm_app::{ApplicationSpec, ProcessId};
-use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::cost::CostModel;
 use rtsm_core::step1::assign_implementations;
-use rtsm_core::{feedback, MapError, Mapping, MappingAlgorithm, MappingOutcome};
+use rtsm_core::{feedback, MapError, Mapping, MappingAlgorithm, MappingOutcome, SpecIndex};
 use rtsm_platform::{Platform, PlatformState, TileId};
 
 /// One `(impl_index, tile)` gene per process, in topological order.
@@ -65,22 +64,20 @@ impl Default for GeneticMapper {
 /// scratch state in order; a gene that no longer fits counts as a
 /// violation and claims nothing. `(0, cost)` means claim-feasible.
 fn fitness(
-    spec: &ApplicationSpec,
-    platform: &Platform,
+    index: &SpecIndex,
     base: &PlatformState,
     processes: &[ProcessId],
     genome: &Genome,
     cost_model: &CostModel,
 ) -> (u32, u64) {
+    let (spec, platform) = (index.spec(), index.platform());
     let mut working = base.clone();
     let mut violations = 0u32;
     let mut mapping = Mapping::new();
     for (&process, &(impl_index, tile)) in processes.iter().zip(genome) {
-        let implementation = &spec.library.impls_for(process)[impl_index];
-        let claim = claim_for(spec, process, implementation);
-        if working.fits_tile(platform, tile, &claim) {
+        if working.fits_tile(platform, tile, index.claim(process, impl_index)) {
             working
-                .claim_tile(platform, tile, &reservation_of(&claim))
+                .claim_tile(platform, tile, index.reservation(process, impl_index))
                 .expect("fits_tile just checked");
         } else {
             violations += 1;
@@ -98,8 +95,7 @@ impl GeneticMapper {
     /// those heuristics produce an assignment under `constraints`.
     fn seed_genomes(
         &self,
-        spec: &ApplicationSpec,
-        platform: &Platform,
+        index: &SpecIndex,
         base: &PlatformState,
         constraints: &MappingConstraints,
         processes: &[ProcessId],
@@ -111,9 +107,9 @@ impl GeneticMapper {
                 .collect()
         };
         let mut seeds = Vec::new();
+        let (spec, platform) = (index.spec(), index.platform());
         if let Ok(out) = assign_implementations(
-            spec,
-            platform,
+            index,
             base,
             &feedback::Constraints::with_external(constraints.clone()),
         ) {
@@ -160,17 +156,18 @@ impl MappingAlgorithm for GeneticMapper {
             return Err(no_feasible_mapping(0));
         }
 
+        let index = SpecIndex::new(spec, platform);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut evaluated = 0u64;
         let score = |genome: &Genome, evaluated: &mut u64| {
             *evaluated += 1;
-            fitness(spec, platform, base, &processes, genome, &self.cost_model)
+            fitness(&index, base, &processes, genome, &self.cost_model)
         };
 
         // Population: deterministic seeds first, random fill after.
         let population_size = self.population.max(4);
         let mut population: Vec<(Genome, (u32, u64))> = Vec::with_capacity(population_size);
-        for genome in self.seed_genomes(spec, platform, base, constraints, &processes) {
+        for genome in self.seed_genomes(&index, base, constraints, &processes) {
             let fit = score(&genome, &mut evaluated);
             population.push((genome, fit));
         }

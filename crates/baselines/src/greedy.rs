@@ -10,7 +10,7 @@ use rtsm_app::ApplicationSpec;
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::feedback::Constraints;
 use rtsm_core::step1::assign_implementations;
-use rtsm_core::{MapError, MappingAlgorithm, MappingOutcome};
+use rtsm_core::{MapError, MappingAlgorithm, MappingOutcome, SpecIndex};
 use rtsm_platform::{Platform, PlatformState};
 
 /// Step-1-only mapper.
@@ -30,8 +30,7 @@ impl MappingAlgorithm for GreedyMapper {
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
         assign_implementations(
-            spec,
-            platform,
+            &SpecIndex::new(spec, platform),
             base,
             &Constraints::with_external(constraints.clone()),
         )

@@ -86,19 +86,19 @@ fn sizing(c: &mut Criterion) {
     c.bench_function("dataflow/buffer_sizing", |b| {
         b.iter(|| {
             clear_sizing_cache();
-            black_box(size_buffers(g.clone(), &config).unwrap().total)
+            black_box(size_buffers(&g, &config).unwrap().total)
         })
     });
-    size_buffers(g.clone(), &config).unwrap();
+    size_buffers(&g, &config).unwrap();
     c.bench_function("dataflow/buffer_sizing_warm", |b| {
-        b.iter(|| black_box(size_buffers(g.clone(), &config).unwrap().total))
+        b.iter(|| black_box(size_buffers(&g, &config).unwrap().total))
     });
 }
 
 fn period_check(c: &mut Criterion) {
     let (mut g, src, targets) = figure3_like();
     let sizing = size_buffers(
-        g.clone(),
+        &g,
         &BufferSizingConfig {
             source: src,
             period: 3_200_000,

@@ -6,6 +6,9 @@ use rtsm_platform::TileClaim;
 /// The tile resources a process claims when `implementation` serves it:
 /// one compute slot, the implementation's memory, its WCET as a share of
 /// the tile's cycle budget, and NI bandwidth for its channel traffic.
+///
+/// The mapper's steps read every pair's claim from a
+/// [`SpecIndex`](crate::SpecIndex), which computes it once per admission.
 pub fn claim_for(
     spec: &ApplicationSpec,
     process: ProcessId,
@@ -16,24 +19,12 @@ pub fn claim_for(
     // cycles/period ÷ period_ps × 1e12 ps/s = cycles/second.
     let cycles_per_second =
         (wcet as u128 * 1_000_000_000_000u128 / spec.qos.period_ps as u128) as u64;
-    let ejection: u64 = spec
-        .graph
-        .inputs_of(process)
-        .iter()
-        .map(|ch| {
-            spec.qos
-                .words_per_second(spec.graph.channel(*ch).tokens_per_period)
-        })
-        .sum();
-    let injection: u64 = spec
-        .graph
-        .outputs_of(process)
-        .iter()
-        .map(|ch| {
-            spec.qos
-                .words_per_second(spec.graph.channel(*ch).tokens_per_period)
-        })
-        .sum();
+    let words_per_second = |ch| {
+        spec.qos
+            .words_per_second(spec.graph.channel(ch).tokens_per_period)
+    };
+    let ejection: u64 = spec.graph.inputs_of(process).map(words_per_second).sum();
+    let injection: u64 = spec.graph.outputs_of(process).map(words_per_second).sum();
     TileClaim {
         slots: 1,
         memory_bytes: implementation.memory_bytes,

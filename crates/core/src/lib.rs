@@ -63,6 +63,7 @@ pub mod cost;
 pub mod criteria;
 pub mod error;
 pub mod feedback;
+pub mod index;
 pub mod mapper;
 pub mod mapping;
 pub mod report;
@@ -79,6 +80,7 @@ pub use constraints::MappingConstraints;
 pub use cost::CostModel;
 pub use error::{MapError, MapErrorKind};
 pub use feedback::Feedback;
+pub use index::SpecIndex;
 pub use mapper::{MapperConfig, SpatialMapper};
 pub use mapping::{Assignment, Mapping, RouteBinding};
 pub use runtime::{

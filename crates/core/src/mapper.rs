@@ -9,6 +9,7 @@ use crate::constraints::MappingConstraints;
 use crate::cost::CostModel;
 use crate::error::MapError;
 use crate::feedback::Constraints;
+use crate::index::SpecIndex;
 use crate::step1::assign_implementations;
 use crate::step2::{improve_assignment_with, Step2Config};
 use crate::step3::route_channels_with;
@@ -132,6 +133,9 @@ impl SpatialMapper {
         // Observability only: span guards report timing to whatever probe
         // the caller installed; no decision below depends on them.
         let _map_span = obs::span(obs::Span::Map);
+        // Everything steps 1, 2 and 4 need to know about the application
+        // itself, derived once for all refinement attempts.
+        let index = SpecIndex::new(spec, platform);
         let capture = self.config.capture;
         let mut constraints = Constraints::with_external(external.clone());
         let mut trace = MapTrace::default();
@@ -149,7 +153,7 @@ impl SpatialMapper {
             // Step 1: implementations + greedy first-fit tiles.
             let step1_result = {
                 let _s = obs::span(obs::Span::Step1);
-                assign_implementations(spec, platform, base, &constraints)
+                assign_implementations(&index, base, &constraints)
             };
             let step1 = match step1_result {
                 Ok(out) => out,
@@ -183,8 +187,7 @@ impl SpatialMapper {
             let step2_trace = {
                 let _s = obs::span(obs::Span::Step2);
                 improve_assignment_with(
-                    spec,
-                    platform,
+                    &index,
                     &constraints,
                     &mut mapping,
                     &mut working,
@@ -229,7 +232,7 @@ impl SpatialMapper {
             // Step 4: constraint check.
             let step4 = {
                 let _s = obs::span(obs::Span::Step4);
-                check_constraints(spec, platform, &mapping, &working, &self.config.step4)
+                check_constraints(&index, &mapping, &working, &self.config.step4)
             };
             if step4.feasible {
                 if capture {

@@ -11,12 +11,12 @@
 //! *first-fit* onto the first tile (in tile-id order) of the right type
 //! with sufficient resources.
 
-use crate::claims::{claim_for, reservation_of};
 use crate::feedback::{Constraints, Feedback};
+use crate::index::SpecIndex;
 use crate::mapping::Mapping;
 use crate::trace::Step1Event;
 use rtsm_app::{ApplicationSpec, ProcessId};
-use rtsm_platform::{Platform, PlatformState, TileId};
+use rtsm_platform::{PlatformState, TileId};
 
 /// Successful step-1 result.
 #[derive(Debug, Clone)]
@@ -47,20 +47,20 @@ fn option_cost(spec: &ApplicationSpec, process: ProcessId, impl_index: usize) ->
 /// First tile (id order) of the implementation's kind that fits the claim
 /// and is not forbidden.
 fn first_fit(
-    spec: &ApplicationSpec,
-    platform: &Platform,
+    index: &SpecIndex,
     state: &PlatformState,
     constraints: &Constraints,
     process: ProcessId,
     impl_index: usize,
 ) -> Option<TileId> {
-    let implementation = &spec.library.impls_for(process)[impl_index];
-    let claim = claim_for(spec, process, implementation);
+    let platform = index.platform();
+    let kind = index.spec().library.impls_for(process)[impl_index].tile_kind;
+    let claim = index.claim(process, impl_index);
     platform
-        .tiles_of_kind(implementation.tile_kind)
+        .tiles_of_kind(kind)
         .find(|(tile, _)| {
             !constraints.is_tile_forbidden(process, *tile)
-                && state.fits_tile(platform, *tile, &claim)
+                && state.fits_tile(platform, *tile, claim)
         })
         .map(|(tile, _)| tile)
 }
@@ -73,51 +73,53 @@ fn first_fit(
 /// forbids the most recent placement so the next refinement attempt packs
 /// differently.
 pub fn assign_implementations(
-    spec: &ApplicationSpec,
-    platform: &Platform,
+    index: &SpecIndex,
     base: &PlatformState,
     constraints: &Constraints,
 ) -> Result<Step1Output, Step1Failure> {
-    let order = spec
-        .graph
-        .topological_order()
-        .expect("validated specs are acyclic");
-    let topo_position = {
-        let mut pos = vec![usize::MAX; spec.graph.n_processes()];
-        for (i, p) in order.iter().enumerate() {
-            pos[p.index()] = i;
-        }
-        pos
-    };
+    let spec = index.spec();
+    let platform = index.platform();
+    let order = index.order();
 
-    // Static pre-filter: implementations that fit nowhere even on the bare
-    // base state can never lead to an adherent mapping.
-    let statically_viable = |process: ProcessId, impl_index: usize| {
-        !constraints.is_impl_excluded(process, impl_index)
-            && first_fit(spec, platform, base, constraints, process, impl_index).is_some()
-    };
+    // Static pre-filter, once per call: implementations that fit nowhere
+    // even on the bare base state can never lead to an adherent mapping.
+    // By process index; only stream processes are ever asked for.
+    let mut statically_viable: Vec<Vec<usize>> = vec![Vec::new(); spec.graph.n_processes()];
+    for &process in order {
+        statically_viable[process.index()] = (0..spec.library.impls_for(process).len())
+            .filter(|&ix| {
+                !constraints.is_impl_excluded(process, ix)
+                    && first_fit(index, base, constraints, process, ix).is_some()
+            })
+            .collect();
+    }
 
     let mut mapping = Mapping::new();
     let mut working = base.clone();
     let mut events: Vec<Step1Event> = Vec::new();
-    let mut unassigned: Vec<ProcessId> = order.clone();
+    let mut unassigned: Vec<ProcessId> = order.to_vec();
 
     while !unassigned.is_empty() {
         // Desirability of each unassigned process under the current state.
         let mut best: Option<(u64, usize, ProcessId, usize)> = None; // (desirability, topo, process, impl)
         for &process in &unassigned {
-            let mut options: Vec<(u64, usize)> = spec
-                .library
-                .impls_for(process)
-                .iter()
-                .enumerate()
-                .filter(|(ix, _)| statically_viable(process, *ix))
-                .filter(|(ix, _)| {
-                    first_fit(spec, platform, &working, constraints, process, *ix).is_some()
-                })
-                .map(|(ix, _)| (option_cost(spec, process, ix), ix))
-                .collect();
-            if options.is_empty() {
+            // The two cheapest viable options as `(cost, impl)`, ordered
+            // exactly as sorting all of them would order them.
+            let mut cheapest: Option<(u64, usize)> = None;
+            let mut runner_up: Option<(u64, usize)> = None;
+            for &ix in &statically_viable[process.index()] {
+                if first_fit(index, &working, constraints, process, ix).is_none() {
+                    continue;
+                }
+                let option = (option_cost(spec, process, ix), ix);
+                if cheapest.is_none_or(|c| option < c) {
+                    runner_up = cheapest;
+                    cheapest = Some(option);
+                } else if runner_up.is_none_or(|r| option < r) {
+                    runner_up = Some(option);
+                }
+            }
+            let Some(cheapest) = cheapest else {
                 // Dead end: the feedback forbids the most recent placement
                 // (it consumed the resource this process needed).
                 let mut feedback = vec![Feedback::Infeasible {
@@ -133,15 +135,13 @@ pub fn assign_implementations(
                     });
                 }
                 return Err(Step1Failure { process, feedback });
-            }
-            options.sort_unstable();
-            let desirability = if options.len() == 1 {
-                u64::MAX
-            } else {
-                options[1].0 - options[0].0
             };
-            let topo = topo_position[process.index()];
-            let candidate = (desirability, topo, process, options[0].1);
+            let desirability = match runner_up {
+                None => u64::MAX,
+                Some(runner_up) => runner_up.0 - cheapest.0,
+            };
+            let topo = index.topo_position(process);
+            let candidate = (desirability, topo, process, cheapest.1);
             let better = match &best {
                 None => true,
                 Some((d, t, _, _)) => desirability > *d || (desirability == *d && topo < *t),
@@ -151,27 +151,18 @@ pub fn assign_implementations(
             }
         }
         let (desirability, _, process, impl_index) = best.expect("unassigned is non-empty");
-        let tile = first_fit(spec, platform, &working, constraints, process, impl_index)
+        let tile = first_fit(index, &working, constraints, process, impl_index)
             .expect("viability was just checked");
-        let implementation = &spec.library.impls_for(process)[impl_index];
-        let claim = claim_for(spec, process, implementation);
         working
-            .claim_tile(platform, tile, &reservation_of(&claim))
+            .claim_tile(platform, tile, index.reservation(process, impl_index))
             .expect("first_fit checked the claim fits");
         mapping.assign(process, impl_index, tile);
-        let options = spec
-            .library
-            .impls_for(process)
-            .iter()
-            .enumerate()
-            .filter(|(ix, _)| statically_viable(process, *ix))
-            .count();
         events.push(Step1Event {
             process,
             impl_index,
             tile,
             desirability,
-            options,
+            options: statically_viable[process.index()].len(),
         });
         unassigned.retain(|&p| p != process);
     }
@@ -188,14 +179,13 @@ mod tests {
     use super::*;
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
-    use rtsm_platform::TileClaim;
+    use rtsm_platform::{Platform, TileClaim};
 
     fn run_paper() -> (rtsm_app::ApplicationSpec, Platform, Step1Output) {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
         let out = assign_implementations(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &platform.initial_state(),
             &Constraints::new(),
         )
@@ -276,8 +266,12 @@ mod tests {
             )
             .unwrap();
         }
-        let err = assign_implementations(&spec, &platform, &base, &Constraints::new())
-            .expect_err("ARM-only Inverse OFDM is not viable");
+        let err = assign_implementations(
+            &SpecIndex::new(&spec, &platform),
+            &base,
+            &Constraints::new(),
+        )
+        .expect_err("ARM-only Inverse OFDM is not viable");
         assert!(!err.feedback.is_empty());
     }
 
@@ -293,7 +287,11 @@ mod tests {
             process: pfx,
             impl_index: 0,
         });
-        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints);
+        let out = assign_implementations(
+            &SpecIndex::new(&spec, &platform),
+            &platform.initial_state(),
+            &constraints,
+        );
         match out {
             Ok(out) => {
                 let a = out.mapping.assignment(pfx).unwrap();
@@ -318,8 +316,12 @@ mod tests {
             process: iofdm,
             tile: m1,
         });
-        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-            .unwrap();
+        let out = assign_implementations(
+            &SpecIndex::new(&spec, &platform),
+            &platform.initial_state(),
+            &constraints,
+        )
+        .unwrap();
         let a = out.mapping.assignment(iofdm).unwrap();
         assert_eq!(platform.tile(a.tile).name, "MONTIUM2");
     }

@@ -20,9 +20,9 @@
 //! Candidate tiles are filtered for locally sufficient resources (including
 //! NI bandwidth), maintaining adequacy and adherence by construction.
 
-use crate::claims::{claim_for, reservation_of};
 use crate::cost::CostModel;
 use crate::feedback::Constraints;
+use crate::index::SpecIndex;
 use crate::mapping::Mapping;
 use crate::trace::{Step2Event, Step2Move, Step2Trace};
 use rtsm_app::{ApplicationSpec, ProcessId};
@@ -100,6 +100,7 @@ struct ChannelRef {
 }
 
 struct SearchCtx<'a> {
+    index: &'a SpecIndex<'a>,
     spec: &'a ApplicationSpec,
     platform: &'a Platform,
     constraints: &'a Constraints,
@@ -112,11 +113,11 @@ struct SearchCtx<'a> {
 
 impl<'a> SearchCtx<'a> {
     fn new(
-        spec: &'a ApplicationSpec,
-        platform: &'a Platform,
+        index: &'a SpecIndex<'a>,
         constraints: &'a Constraints,
         cost_model: &'a CostModel,
     ) -> Self {
+        let spec = index.spec();
         let mut channels = Vec::new();
         let mut incident = vec![Vec::new(); spec.graph.n_processes()];
         for (_, ch) in spec.graph.stream_channels() {
@@ -138,8 +139,9 @@ impl<'a> SearchCtx<'a> {
             }
         }
         SearchCtx {
+            index,
             spec,
-            platform,
+            platform: index.platform(),
             constraints,
             cost_model,
             incident,
@@ -161,8 +163,8 @@ impl<'a> SearchCtx<'a> {
         let mut add = |ci: usize| {
             let ch = &self.channels[ci];
             if let (Some(a), Some(b)) = (
-                mapping.endpoint_tile(self.platform, ch.src),
-                mapping.endpoint_tile(self.platform, ch.dst),
+                self.index.endpoint_tile(mapping, ch.src),
+                self.index.endpoint_tile(mapping, ch.dst),
             ) {
                 sum += self
                     .cost_model
@@ -193,21 +195,21 @@ impl<'a> SearchCtx<'a> {
         match candidate {
             Step2Move::Move { process, to } => {
                 let a = mapping.assignment(*process).expect("assigned in step 1");
-                let implementation = &self.spec.library.impls_for(*process)[a.impl_index];
-                let claim = claim_for(self.spec, *process, implementation);
+                let claim = self.index.claim(*process, a.impl_index);
+                let reservation = self.index.reservation(*process, a.impl_index);
                 working
-                    .release_tile(a.tile, &reservation_of(&claim))
+                    .release_tile(a.tile, reservation)
                     .expect("claim was reserved");
                 if self.constraints.is_tile_forbidden(*process, *to)
-                    || !working.fits_tile(self.platform, *to, &claim)
+                    || !working.fits_tile(self.platform, *to, claim)
                 {
                     working
-                        .claim_tile(self.platform, a.tile, &reservation_of(&claim))
+                        .claim_tile(self.platform, a.tile, reservation)
                         .expect("restoring a just-released claim");
                     return false;
                 }
                 working
-                    .claim_tile(self.platform, *to, &reservation_of(&claim))
+                    .claim_tile(self.platform, *to, reservation)
                     .expect("fits_tile just checked");
                 mapping.assign(*process, a.impl_index, *to);
                 true
@@ -215,43 +217,43 @@ impl<'a> SearchCtx<'a> {
             Step2Move::Swap { a, b } => {
                 let aa = mapping.assignment(*a).expect("assigned in step 1");
                 let ab = mapping.assignment(*b).expect("assigned in step 1");
-                let impl_a = &self.spec.library.impls_for(*a)[aa.impl_index];
-                let impl_b = &self.spec.library.impls_for(*b)[ab.impl_index];
-                let claim_a = claim_for(self.spec, *a, impl_a);
-                let claim_b = claim_for(self.spec, *b, impl_b);
+                let claim_a = self.index.claim(*a, aa.impl_index);
+                let claim_b = self.index.claim(*b, ab.impl_index);
+                let reservation_a = self.index.reservation(*a, aa.impl_index);
+                let reservation_b = self.index.reservation(*b, ab.impl_index);
                 working
-                    .release_tile(aa.tile, &reservation_of(&claim_a))
+                    .release_tile(aa.tile, reservation_a)
                     .expect("claim was reserved");
                 working
-                    .release_tile(ab.tile, &reservation_of(&claim_b))
+                    .release_tile(ab.tile, reservation_b)
                     .expect("claim was reserved");
                 let ok = !self.constraints.is_tile_forbidden(*a, ab.tile)
                     && !self.constraints.is_tile_forbidden(*b, aa.tile)
-                    && working.fits_tile(self.platform, ab.tile, &claim_a)
+                    && working.fits_tile(self.platform, ab.tile, claim_a)
                     && {
                         working
-                            .claim_tile(self.platform, ab.tile, &reservation_of(&claim_a))
+                            .claim_tile(self.platform, ab.tile, reservation_a)
                             .expect("fits_tile just checked");
-                        if working.fits_tile(self.platform, aa.tile, &claim_b) {
+                        if working.fits_tile(self.platform, aa.tile, claim_b) {
                             true
                         } else {
                             working
-                                .release_tile(ab.tile, &reservation_of(&claim_a))
+                                .release_tile(ab.tile, reservation_a)
                                 .expect("rollback of a claim just made");
                             false
                         }
                     };
                 if !ok {
                     working
-                        .claim_tile(self.platform, aa.tile, &reservation_of(&claim_a))
+                        .claim_tile(self.platform, aa.tile, reservation_a)
                         .expect("restoring a just-released claim");
                     working
-                        .claim_tile(self.platform, ab.tile, &reservation_of(&claim_b))
+                        .claim_tile(self.platform, ab.tile, reservation_b)
                         .expect("restoring a just-released claim");
                     return false;
                 }
                 working
-                    .claim_tile(self.platform, aa.tile, &reservation_of(&claim_b))
+                    .claim_tile(self.platform, aa.tile, reservation_b)
                     .expect("swap target was just vacated");
                 mapping.assign(*a, aa.impl_index, ab.tile);
                 mapping.assign(*b, ab.impl_index, aa.tile);
@@ -396,8 +398,7 @@ impl<'a> SearchCtx<'a> {
 /// Runs step 2, improving `mapping` in place (and keeping `working`'s tile
 /// reservations in sync). Returns the full search trace (capture on).
 pub fn improve_assignment(
-    spec: &ApplicationSpec,
-    platform: &Platform,
+    index: &SpecIndex,
     constraints: &Constraints,
     mapping: &mut Mapping,
     working: &mut PlatformState,
@@ -405,8 +406,7 @@ pub fn improve_assignment(
     config: &Step2Config,
 ) -> Step2Trace {
     improve_assignment_with(
-        spec,
-        platform,
+        index,
         constraints,
         mapping,
         working,
@@ -423,10 +423,8 @@ pub fn improve_assignment(
 /// [`Step2Trace::evaluations`] counter, which stays exactly what
 /// `events.len()` would be with capture on. This is the mapper hot path:
 /// simulators and benches map thousands of times and read only counters.
-#[allow(clippy::too_many_arguments)]
 pub fn improve_assignment_with(
-    spec: &ApplicationSpec,
-    platform: &Platform,
+    index: &SpecIndex,
     constraints: &Constraints,
     mapping: &mut Mapping,
     working: &mut PlatformState,
@@ -434,11 +432,9 @@ pub fn improve_assignment_with(
     config: &Step2Config,
     capture: bool,
 ) -> Step2Trace {
-    let ctx = SearchCtx::new(spec, platform, constraints, cost_model);
-    let order = spec
-        .graph
-        .topological_order()
-        .expect("validated specs are acyclic");
+    let (spec, platform) = (index.spec(), index.platform());
+    let ctx = SearchCtx::new(index, constraints, cost_model);
+    let order = index.order();
     let mut trace = Step2Trace {
         initial_cost: cost_model.assignment_cost(mapping, spec, platform),
         initial_assignment: if capture {
@@ -461,7 +457,7 @@ pub fn improve_assignment_with(
         Step2Strategy::PaperScan => {
             let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
             'search: loop {
-                for &process in &order {
+                for &process in order {
                     // This process's best untried reassignment.
                     let mut best: Option<ScoredCandidate> = None;
                     ctx.candidates_for(mapping, process, &mut candidates);
@@ -515,7 +511,7 @@ pub fn improve_assignment_with(
         }
         Step2Strategy::BestImprovement => loop {
             let mut best: Option<ScoredCandidate> = None;
-            for &process in &order {
+            for &process in order {
                 ctx.candidates_for(mapping, process, &mut candidates);
                 trace.generated += candidates.len() as u64;
                 for candidate in &candidates {
@@ -568,14 +564,13 @@ mod tests {
     ) -> (rtsm_app::ApplicationSpec, Platform, Mapping, Step2Trace) {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
+        let index = SpecIndex::new(&spec, &platform);
         let constraints = Constraints::new();
-        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-            .unwrap();
+        let out = assign_implementations(&index, &platform.initial_state(), &constraints).unwrap();
         let mut mapping = out.mapping;
         let mut working = out.working;
         let trace = improve_assignment(
-            &spec,
-            &platform,
+            &index,
             &constraints,
             &mut mapping,
             &mut working,
@@ -656,10 +651,10 @@ mod tests {
         for strategy in [Step2Strategy::PaperScan, Step2Strategy::BestImprovement] {
             let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
             let platform = paper_platform();
+            let index = SpecIndex::new(&spec, &platform);
             let constraints = Constraints::new();
             let out =
-                assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-                    .unwrap();
+                assign_implementations(&index, &platform.initial_state(), &constraints).unwrap();
             let config = Step2Config {
                 strategy,
                 ..Step2Config::default()
@@ -667,8 +662,7 @@ mod tests {
             let mut m_on = out.mapping.clone();
             let mut w_on = out.working.clone();
             let on = improve_assignment(
-                &spec,
-                &platform,
+                &index,
                 &constraints,
                 &mut m_on,
                 &mut w_on,
@@ -678,8 +672,7 @@ mod tests {
             let mut m_off = out.mapping.clone();
             let mut w_off = out.working.clone();
             let off = improve_assignment_with(
-                &spec,
-                &platform,
+                &index,
                 &constraints,
                 &mut m_off,
                 &mut w_off,
@@ -710,15 +703,14 @@ mod tests {
         ] {
             let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
             let platform = paper_platform();
+            let index = SpecIndex::new(&spec, &platform);
             let constraints = Constraints::new();
             let out =
-                assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-                    .unwrap();
+                assign_implementations(&index, &platform.initial_state(), &constraints).unwrap();
             let mut mapping = out.mapping;
             let mut working = out.working;
             let trace = improve_assignment(
-                &spec,
-                &platform,
+                &index,
                 &constraints,
                 &mut mapping,
                 &mut working,
@@ -737,14 +729,13 @@ mod tests {
     fn max_evaluations_caps_search() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
+        let index = SpecIndex::new(&spec, &platform);
         let constraints = Constraints::new();
-        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-            .unwrap();
+        let out = assign_implementations(&index, &platform.initial_state(), &constraints).unwrap();
         let mut mapping = out.mapping;
         let mut working = out.working;
         let trace = improve_assignment(
-            &spec,
-            &platform,
+            &index,
             &constraints,
             &mut mapping,
             &mut working,

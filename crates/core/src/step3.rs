@@ -127,6 +127,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::feedback::Constraints;
+    use crate::index::SpecIndex;
     use crate::step1::assign_implementations;
     use crate::step2::{improve_assignment, Step2Config};
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
@@ -136,13 +137,12 @@ mod tests {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
         let constraints = Constraints::new();
-        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-            .unwrap();
+        let index = SpecIndex::new(&spec, &platform);
+        let out = assign_implementations(&index, &platform.initial_state(), &constraints).unwrap();
         let mut mapping = out.mapping;
         let mut working = out.working;
         improve_assignment(
-            &spec,
-            &platform,
+            &index,
             &constraints,
             &mut mapping,
             &mut working,

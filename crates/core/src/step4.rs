@@ -20,12 +20,13 @@
 //! would drain in flight).
 
 use crate::feedback::Feedback;
+use crate::index::SpecIndex;
 use crate::mapping::{Mapping, RouteBinding};
-use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId};
+use rtsm_app::{Endpoint, KpnChannelId, ProcessId};
 use rtsm_dataflow::{
     iteration_latency, size_buffers, ActorId, BufferSizingConfig, CsdfGraph, PhaseVec,
 };
-use rtsm_platform::{Platform, PlatformState, TileClaim, TileId};
+use rtsm_platform::{PlatformState, TileClaim, TileId};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the step-4 composition.
@@ -90,12 +91,12 @@ pub struct Step4Result {
 /// is claimed on top of it and released again before returning — the caller
 /// re-claims real buffers when it commits the mapping).
 pub fn check_constraints(
-    spec: &ApplicationSpec,
-    platform: &Platform,
+    index: &SpecIndex,
     mapping: &Mapping,
     working: &PlatformState,
     config: &Step4Config,
 ) -> Step4Result {
+    let (spec, platform) = (index.spec(), index.platform());
     let period = spec.qos.period_ps;
     let mut csdf = CsdfGraph::new();
 
@@ -117,7 +118,8 @@ pub fn check_constraints(
     let noc_cycle = platform.noc().cycle_time_ps();
     let sink = csdf.add_actor("Sink", PhaseVec::single(1), noc_cycle);
 
-    let mut process_actor = std::collections::BTreeMap::new();
+    // Actor and assignment of each stream process, by process index.
+    let mut process_actor = vec![None; spec.graph.n_processes()];
     for (pid, _) in spec.graph.stream_processes() {
         let Some(assignment) = mapping.assignment(pid) else {
             return infeasible_result(
@@ -139,16 +141,17 @@ pub fn check_constraints(
             implementation.wcet.clone(),
             tile.cycle_time_ps(),
         );
-        process_actor.insert(pid, (actor, assignment));
+        process_actor[pid.index()] = Some((actor, assignment));
     }
+    let actor_of = |p: ProcessId| process_actor[p.index()].expect("stream process");
 
     // Utilisation pre-check with structured feedback: a sequential actor
     // busier than the period can never keep up; implicate its
     // implementation choice.
     for (pid, _) in spec.graph.stream_processes() {
-        let (_, assignment) = process_actor[&pid];
+        let (_, assignment) = actor_of(pid);
         let implementation = &spec.library.impls_for(pid)[assignment.impl_index];
-        let cycles = spec.cycles_per_period(pid, implementation);
+        let cycles = index.cycles_per_period(pid, assignment.impl_index);
         let busy_ps =
             implementation.wcet_per_period(cycles) * platform.tile(assignment.tile).cycle_time_ps();
         if busy_ps > period {
@@ -180,13 +183,10 @@ pub fn check_constraints(
     for (cid, ch) in spec.graph.stream_channels() {
         let (src_actor, src_rates) = match ch.src {
             Endpoint::Process(p) => {
-                let (actor, assignment) = process_actor[&p];
+                let (actor, assignment) = actor_of(p);
                 let implementation = &spec.library.impls_for(p)[assignment.impl_index];
-                let port = spec
-                    .graph
-                    .outputs_of(p)
-                    .iter()
-                    .position(|c| *c == cid)
+                let port = index
+                    .src_port(cid)
                     .expect("channel is an output of its producer");
                 (actor, implementation.outputs[port].clone())
             }
@@ -195,13 +195,10 @@ pub fn check_constraints(
         };
         let (dst_actor, dst_rates, dst_tile) = match ch.dst {
             Endpoint::Process(p) => {
-                let (actor, assignment) = process_actor[&p];
+                let (actor, assignment) = actor_of(p);
                 let implementation = &spec.library.impls_for(p)[assignment.impl_index];
-                let port = spec
-                    .graph
-                    .inputs_of(p)
-                    .iter()
-                    .position(|c| *c == cid)
+                let port = index
+                    .dst_port(cid)
                     .expect("channel is an input of its consumer");
                 (
                     actor,
@@ -300,7 +297,7 @@ pub fn check_constraints(
 
     // --- Buffer sizing (B_i) and throughput check --------------------------
     let sizing = match size_buffers(
-        csdf.clone(),
+        &csdf,
         &BufferSizingConfig {
             source,
             period,
@@ -449,6 +446,7 @@ mod tests {
     use crate::step3::route_channels;
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
+    use rtsm_platform::Platform;
 
     fn full_pipeline(
         mode: Hiperlan2Mode,
@@ -456,13 +454,12 @@ mod tests {
         let spec = hiperlan2_receiver(mode);
         let platform = paper_platform();
         let constraints = Constraints::new();
-        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-            .unwrap();
+        let index = SpecIndex::new(&spec, &platform);
+        let out = assign_implementations(&index, &platform.initial_state(), &constraints).unwrap();
         let mut mapping = out.mapping;
         let mut working = out.working;
         improve_assignment(
-            &spec,
-            &platform,
+            &index,
             &constraints,
             &mut mapping,
             &mut working,
@@ -477,8 +474,7 @@ mod tests {
     fn paper_mapping_is_feasible() {
         let (spec, platform, mapping, working) = full_pipeline(Hiperlan2Mode::Qpsk34);
         let result = check_constraints(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &mapping,
             &working,
             &Step4Config::default(),
@@ -496,8 +492,7 @@ mod tests {
     fn figure3_structure_twelve_routers_four_buffers() {
         let (spec, platform, mapping, working) = full_pipeline(Hiperlan2Mode::Qpsk34);
         let result = check_constraints(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &mapping,
             &working,
             &Step4Config::default(),
@@ -521,8 +516,7 @@ mod tests {
         for mode in Hiperlan2Mode::ALL {
             let (spec, platform, mapping, working) = full_pipeline(mode);
             let result = check_constraints(
-                &spec,
-                &platform,
+                &SpecIndex::new(&spec, &platform),
                 &mapping,
                 &working,
                 &Step4Config::default(),
@@ -540,8 +534,7 @@ mod tests {
     fn buffers_cover_consumer_bursts() {
         let (spec, platform, mapping, working) = full_pipeline(Hiperlan2Mode::Qpsk34);
         let result = check_constraints(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &mapping,
             &working,
             &Step4Config::default(),
@@ -554,8 +547,7 @@ mod tests {
                 let port = spec
                     .graph
                     .inputs_of(p)
-                    .iter()
-                    .position(|c| *c == buffer.channel)
+                    .position(|c| c == buffer.channel)
                     .unwrap();
                 assert!(
                     buffer.capacity_words >= implementation.inputs[port].max(),
@@ -570,8 +562,7 @@ mod tests {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
         let result = check_constraints(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &Mapping::new(),
             &platform.initial_state(),
             &Step4Config::default(),
@@ -594,8 +585,7 @@ mod tests {
         mapping.assign(p("Inverse OFDM"), 0, t("ARM2")); // ARM impl: 4370 cc
         mapping.assign(p("Remainder"), 1, t("MONTIUM2"));
         let result = check_constraints(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &mapping,
             &platform.initial_state(),
             &Step4Config::default(),
@@ -614,8 +604,7 @@ mod tests {
         // Absurdly tight bound: 1 ps.
         spec.qos.max_latency_ps = Some(1);
         let result = check_constraints(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &mapping,
             &working,
             &Step4Config::default(),
@@ -625,8 +614,7 @@ mod tests {
         // Generous bound: 10 periods.
         spec.qos.max_latency_ps = Some(40_000_000);
         let result = check_constraints(
-            &spec,
-            &platform,
+            &SpecIndex::new(&spec, &platform),
             &mapping,
             &working,
             &Step4Config::default(),

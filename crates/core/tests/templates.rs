@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_core::step4::{check_constraints, Step4Config};
-use rtsm_core::{MapperConfig, MappingAlgorithm, SpatialMapper, TemplatedMapper};
+use rtsm_core::{MapperConfig, MappingAlgorithm, SpatialMapper, SpecIndex, TemplatedMapper};
 use rtsm_platform::paper::paper_platform;
 
 const MODES: [Hiperlan2Mode; 6] = [
@@ -80,8 +80,7 @@ proptest! {
                 // on the instantiated mapping: same feasibility, same
                 // achieved period, same buffer sizing.
                 let twin = check_constraints(
-                    &spec,
-                    &platform,
+                    &SpecIndex::new(&spec, &platform),
                     &outcome.mapping,
                     &state,
                     &Step4Config::default(),

@@ -176,9 +176,9 @@ pub fn clear_sizing_cache() {
 /// Computes minimal buffer capacities sustaining `config.period` at the
 /// source, and the throughput they achieve.
 ///
-/// The graph is taken by value, mutated internally, and the computed
-/// capacities are returned; apply them with [`apply_sizing`] if you need the
-/// capacitated graph itself.
+/// The graph is borrowed and copied only when the search actually runs (a
+/// cache miss); the computed capacities are returned; apply them with
+/// [`apply_sizing`] if you need the capacitated graph itself.
 ///
 /// The returned [`BufferSizing::achieved`] throughput comes from the last
 /// feasible probe of the search, which ran on exactly the capacitated
@@ -200,15 +200,15 @@ pub fn clear_sizing_cache() {
 /// * [`DataflowError::Inconsistent`] if the required period cannot be met at
 ///   any buffer size (the bottleneck is computation, not buffering).
 pub fn size_buffers(
-    graph: CsdfGraph,
+    graph: &CsdfGraph,
     config: &BufferSizingConfig,
 ) -> Result<BufferSizing, DataflowError> {
     let _span = obs::span(obs::Span::BufferSizing);
-    let digest = sizing_digest(&graph, config);
+    let digest = sizing_digest(graph, config);
     let cached = SIZING_CACHE.with(|c| {
         c.borrow()
             .get(&digest)
-            .filter(|e| e.graph == graph && e.config == *config)
+            .filter(|e| e.graph == *graph && e.config == *config)
             .map(|e| e.sizing.clone())
     });
     if let Some(sizing) = cached {
@@ -222,7 +222,7 @@ pub fn size_buffers(
             cache.clear();
         }
         let entry = CacheEntry {
-            graph,
+            graph: graph.clone(),
             config: config.clone(),
             sizing: sizing.clone(),
         };
@@ -444,7 +444,7 @@ mod tests {
     fn fast_pipeline_needs_small_buffers() {
         let (g, src, chans) = pipeline(10, 4, 4);
         let sizing = size_buffers(
-            g,
+            &g,
             &BufferSizingConfig {
                 source: src,
                 period: 10,
@@ -467,7 +467,7 @@ mod tests {
             channels: chans,
             max_sweeps: 3,
         };
-        let sizing = size_buffers(g.clone(), &cfg).unwrap();
+        let sizing = size_buffers(&g, &cfg).unwrap();
         let mut sized = g;
         apply_sizing(&mut sized, &sizing);
         let (ok, tp) = check_source_period(&sized, src, 10).unwrap();
@@ -487,7 +487,7 @@ mod tests {
             channels: chans.clone(),
             max_sweeps: 3,
         };
-        let sizing = size_buffers(g.clone(), &cfg).unwrap();
+        let sizing = size_buffers(&g, &cfg).unwrap();
         // Decreasing any computed capacity by one must break feasibility
         // (unless it is already at the structural floor of 1).
         for &(ch, cap) in &sizing.capacities {
@@ -514,7 +514,7 @@ mod tests {
         // Worker slower than the required period: no buffer size helps.
         let (g, src, chans) = pipeline(10, 30, 4);
         let err = size_buffers(
-            g,
+            &g,
             &BufferSizingConfig {
                 source: src,
                 period: 10,
@@ -538,11 +538,11 @@ mod tests {
             channels: chans,
             max_sweeps: 3,
         };
-        let first = size_buffers(g.clone(), &cfg).unwrap();
+        let first = size_buffers(&g, &cfg).unwrap();
         let probe = Rc::new(SpanLatencyProbe::new());
         let second = {
             let _guard = obs::install(probe.clone());
-            size_buffers(g, &cfg).unwrap()
+            size_buffers(&g, &cfg).unwrap()
         };
         assert_eq!(first, second, "cache hit must return the identical sizing");
         assert_eq!(
@@ -581,7 +581,7 @@ mod tests {
             max_sweeps: 3,
         };
         clear_sizing_cache();
-        let truth = size_buffers(g.clone(), &cfg).unwrap();
+        let truth = size_buffers(&g, &cfg).unwrap();
         let wrong = BufferSizing {
             capacities: chans.iter().map(|&ch| (ch, 99)).collect(),
             total: 198,
@@ -604,7 +604,7 @@ mod tests {
             let probe = Rc::new(SpanLatencyProbe::new());
             let again = {
                 let _guard = obs::install(probe.clone());
-                size_buffers(g.clone(), &cfg).unwrap()
+                size_buffers(&g, &cfg).unwrap()
             };
             assert_eq!(again, truth, "a colliding entry must not be served");
             assert!(
@@ -624,7 +624,7 @@ mod tests {
             .add_channel(src, snk, PhaseVec::single(8), PhaseVec::single(1))
             .unwrap();
         let sizing = size_buffers(
-            g,
+            &g,
             &BufferSizingConfig {
                 source: src,
                 period: 100,

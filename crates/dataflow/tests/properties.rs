@@ -226,7 +226,7 @@ proptest! {
         let cons = r1 * m;
         let ch = g.add_channel(src, dst, PhaseVec::single(prod), PhaseVec::single(cons)).unwrap();
         let sizing = rtsm_dataflow::size_buffers(
-            g.clone(),
+            &g,
             &rtsm_dataflow::BufferSizingConfig {
                 source: src,
                 period: 20,
@@ -337,7 +337,7 @@ proptest! {
             channels: Vec::new(),
             max_sweeps,
         };
-        if let Ok(sizing) = rtsm_dataflow::size_buffers(g.clone(), &config) {
+        if let Ok(sizing) = rtsm_dataflow::size_buffers(&g, &config) {
             let mut sized = g;
             rtsm_dataflow::apply_sizing(&mut sized, &sizing);
             let (ok, tp) = rtsm_dataflow::check_source_period(&sized, ids[0], period).unwrap();
@@ -351,7 +351,7 @@ proptest! {
 /// per sized channel, one token less (never below the channel's floor, as
 /// the search never goes there).
 fn near_threshold_probes(g: &CsdfGraph, config: &BufferSizingConfig) -> Vec<CsdfGraph> {
-    let Ok(sizing) = size_buffers(g.clone(), config) else {
+    let Ok(sizing) = size_buffers(g, config) else {
         return Vec::new();
     };
     let mut sized = g.clone();

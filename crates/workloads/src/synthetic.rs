@@ -201,8 +201,8 @@ pub fn synthetic_app(config: &SyntheticConfig) -> ApplicationSpec {
     // totals equal the channel traffic (consistent by construction).
     let mut library = ImplementationLibrary::new();
     for &pid in &processes {
-        let inputs = graph.inputs_of(pid);
-        let outputs = graph.outputs_of(pid);
+        let inputs: Vec<_> = graph.inputs_of(pid).collect();
+        let outputs: Vec<_> = graph.outputs_of(pid).collect();
         let preferred_wcet = rng.random_range(config.wcet_range.0..=config.wcet_range.1);
         let preferred_energy = rng.random_range(config.energy_range.0..=config.energy_range.1);
         for (k, &kind) in config.tile_kinds.iter().enumerate() {

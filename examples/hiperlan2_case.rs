@@ -14,6 +14,7 @@ use rtsm::core::step1::assign_implementations;
 use rtsm::core::step2::{improve_assignment, Step2Config};
 use rtsm::core::step3::route_channels;
 use rtsm::core::step4::{check_constraints, Step4Config};
+use rtsm::core::SpecIndex;
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::render::render_layout;
 
@@ -41,10 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n— §4.4 Mapping —");
     let constraints = Constraints::new();
     let base = platform.initial_state();
+    // The application's mapping-independent facts, derived once.
+    let index = SpecIndex::new(&spec, &platform);
 
     // Step 1: implementation selection by desirability + first-fit packing.
-    let step1 = assign_implementations(&spec, &platform, &base, &constraints)
-        .expect("the paper case passes step 1");
+    let step1 =
+        assign_implementations(&index, &base, &constraints).expect("the paper case passes step 1");
     println!("step 1 decisions (desirability order):");
     for e in &step1.step_events() {
         println!(
@@ -63,8 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut mapping = step1.mapping;
     let mut working = step1.working;
     let trace = improve_assignment(
-        &spec,
-        &platform,
+        &index,
         &constraints,
         &mut mapping,
         &mut working,
@@ -82,13 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Step 4: compose the CSDF graph (Figure 3) and check the constraints.
-    let step4 = check_constraints(
-        &spec,
-        &platform,
-        &mapping,
-        &working,
-        &Step4Config::default(),
-    );
+    let step4 = check_constraints(&index, &mapping, &working, &Step4Config::default());
     println!("\nstep 4 (Figure 3):");
     println!(
         "  actors: {} (A/D + Sink + 4 implementations + {} routers)",

@@ -5,7 +5,7 @@
 //! warm path (whole-result cache hit).
 
 use rtsm::core::step4::{check_constraints, Step4Config, Step4Result};
-use rtsm::core::SpatialMapper;
+use rtsm::core::{SpatialMapper, SpecIndex};
 use rtsm::dataflow::{check_source_period, clear_sizing_cache};
 use rtsm::obs::{self, Counter, SpanLatencyProbe};
 use std::rc::Rc;
@@ -29,8 +29,7 @@ fn step4_verdict_matches_an_independent_recheck_cold_and_warm() {
                 let probe = Rc::new(SpanLatencyProbe::new());
                 let _guard = obs::install(probe.clone());
                 let result = check_constraints(
-                    spec,
-                    platform,
+                    &SpecIndex::new(spec, platform),
                     &outcome.mapping,
                     &empty,
                     &Step4Config::default(),
